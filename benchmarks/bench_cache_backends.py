@@ -19,10 +19,9 @@ import numpy as np
 from conftest import emit
 
 from repro.backbones.registry import paper_methods
-from repro.pipeline import ScoreStore
+from repro.pipeline import ScoreStore, score_with_store
 from repro.pipeline.backends import (DirectoryBackend, KVBackend,
                                      SQLiteBackend)
-from repro.pipeline.executor import score_with_store
 from repro.util.tables import format_table
 from repro.util.timing import time_call
 

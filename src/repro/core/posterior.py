@@ -64,11 +64,17 @@ def posterior_probability(table: EdgeTable) -> PosteriorResult:
     Edges whose prior moments cannot be matched by a beta distribution
     (prior variance not strictly inside ``(0, μ(1-μ))``) fall back to the
     plug-in frequency clipped away from {0, 1}; the ``fallback`` mask
-    reports them. On connected count networks this never triggers.
+    reports them. On connected count networks this never triggers. At
+    ``N.. = 1`` the prior variance is undefined (it divides by
+    ``N.. - 1``), so the prior moments are NaN and every edge falls back.
     """
     ni, nj, total = edge_marginals(table)
     weight = table.weight
-    prior_mean, prior_variance = hypergeometric_prior_moments(ni, nj, total)
+    if total == 1.0:
+        prior_mean, prior_variance = np.full((2, len(weight)), np.nan)
+    else:
+        prior_mean, prior_variance = hypergeometric_prior_moments(
+            ni, nj, total)
 
     feasible = ((prior_mean > 0.0) & (prior_mean < 1.0)
                 & (prior_variance > 0.0)

@@ -82,8 +82,3 @@ def sweep_methods(methods: Sequence[BackboneMethod], table: EdgeTable,
                                            values=[],
                                            parameter_free=True)
     return out
-
-
-def nc_sweep_uses_adjusted_scores(method: BackboneMethod) -> bool:
-    """True when the method ranks by delta-adjusted scores in sweeps."""
-    return getattr(method, "code", "") == "NC"

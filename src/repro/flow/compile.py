@@ -1,9 +1,8 @@
 """Lowering plans onto the pipeline: tables, fingerprints, cache keys.
 
 Compilation is the step between the declarative :class:`Plan` and the
-existing execution machinery (:func:`repro.pipeline.executor.
-score_with_store`, backend spec strings, ``workers=``). For a batch of
-plans it
+execution machinery (:func:`repro.pipeline.store.score_with_store`,
+backend spec strings, ``workers=``). For a batch of plans it
 
 1. resolves every *distinct* source exactly once — a file is hashed
    once and parsed at most once per batch, however many plans point at

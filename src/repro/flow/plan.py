@@ -158,8 +158,7 @@ class Plan:
     def scores(self, store=None) -> ScoredEdges:
         """Score the source with the plan's method (cached; no filter)."""
         from .compile import compile_plans
-        from ..pipeline.executor import score_with_store
-        from ..pipeline.store import ScoreStore
+        from ..pipeline.store import ScoreStore, score_with_store
 
         # Explicit None check: an *empty* ScoreStore is falsy (len 0)
         # but must still be used, not silently replaced.

@@ -8,10 +8,9 @@ plans — many users, many deltas, many budgets, same sources — and it
    source parsed once, each plan lowered to a score-cache key;
 2. runs every *distinct* scoring request at most once, consulting the
    :class:`~repro.pipeline.store.ScoreStore` first and fanning cold
-   requests out across worker processes (the same ``workers=`` knob
-   and backend-spec reopening as the sweep executor; memory-only
-   stores have worker results shipped back and adopted, exactly like
-   :meth:`~repro.pipeline.executor.Pipeline.warm`);
+   requests out across worker processes (the ``workers=`` knob of
+   :mod:`repro.util.parallel`; workers reopen the store's backend
+   spec, and ship their results back for the parent to adopt);
 3. applies each plan's filter and metrics serially — cheap compared
    to scoring, and share-budget plans over one scored table share a
    single ranking pass (``top_share_many``, bit-identical to
@@ -38,8 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..backbones.doubly_stochastic import SinkhornConvergenceError
 from ..graph.edge_table import EdgeTable
 from ..obs.trace import span
-from ..pipeline.executor import score_with_store
-from ..pipeline.store import ScoreStore
+from ..pipeline.backends import NegativeEntry
+from ..pipeline.store import ScoreStore, score_with_store
 from ..util.parallel import parallel_map, resolve_workers
 from .compile import CompiledPlan, compile_plans
 from .plan import Plan
@@ -164,10 +163,10 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
     """Run every distinct scoring request at most once.
 
     Exactly one store lookup per distinct cache key (so hit-rate
-    accounting matches the request count users see); cold keys are
-    optionally fanned out across worker processes first, workers
-    writing through the store's backend spec or shipping results back
-    for adoption when the store is memory-only.
+    accounting matches the request count users see). Cold keys are
+    optionally fanned out across worker processes first: a worker's
+    own store counts the lookup, and the parent adopts the entry the
+    worker ships back and serves it as is, without a second lookup.
     """
     unique: Dict[str, CompiledPlan] = {}
     for item in compiled:
@@ -182,6 +181,7 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
 
     with span("flow.score", requests=len(compiled),
               unique=len(unique)):
+        scored_by_key, error_by_key = {}, {}
         count = min(resolve_workers(workers), len(unique))
         if count > 1:
             pending = [item for key, item in unique.items()
@@ -200,10 +200,15 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
                 for worker_stats, extras in outcomes:
                     for key, entry in extras:
                         store.adopt(key, entry)
+                        if isinstance(entry, NegativeEntry):
+                            error_by_key[key] = entry.to_exception()
+                        else:
+                            scored_by_key[key] = entry
                     store.stats.merge(worker_stats)
 
-        scored_by_key, error_by_key = {}, {}
         for key, item in unique.items():
+            if key in scored_by_key or key in error_by_key:
+                continue  # a worker scored it
             if item.stream is not None:
                 # Streamed request: a warm cache answers with the full
                 # ScoredEdges (the stream's fingerprint matches the
@@ -230,10 +235,9 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
 def _score_remote(payload) -> Tuple[object, tuple]:
     """Worker-side scoring (module-level for picklability).
 
-    Mirrors the executor's worker contract: with a reopenable backend
-    spec the worker writes straight through it; with a memory-only
-    parent the worker ships its entries (scored tables and negative
-    verdicts alike) back for adoption.
+    With a reopenable backend spec the worker writes straight through
+    it. Either way it ships its entry (a scored table or a negative
+    verdict) back with its traffic counters, for the parent to adopt.
     """
     method, table, spec, key = payload
     store = ScoreStore(spec)
@@ -246,8 +250,7 @@ def _score_remote(payload) -> Tuple[object, tuple]:
         # pass recomputes, hits the same error and isolates it per
         # plan instead of this worker poisoning the pool map.
         pass
-    extras = tuple(store.memory_entries()) if spec is None else ()
-    return store.stats, extras
+    return store.stats, tuple(store.memory_entries())
 
 
 # ----------------------------------------------------------------------

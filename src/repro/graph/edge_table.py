@@ -511,9 +511,3 @@ def coalesce_edges(src: np.ndarray, dst: np.ndarray, weight: np.ndarray
     group = np.cumsum(firsts) - 1
     summed = np.bincount(group, weights=weight, minlength=len(starts))
     return src[starts], dst[starts], summed.astype(np.float64)
-
-
-#: Backwards-compatible alias (the pre-ingest private name).
-def _coalesce(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
-              n_nodes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return coalesce_edges(src, dst, weight)

@@ -1,22 +1,32 @@
-"""Cached, sharded sweep/experiment orchestration.
+"""Fingerprints, the score cache and sweep metric specs.
 
-The pipeline subsystem turns the library's one-shot "score then filter"
-calls into a service-shaped workload: scored tables are content-
-addressed and cached (:class:`ScoreStore`), whole sweeps are described
-as independent shards (:mod:`repro.pipeline.tasks`) and executed
-serially or across worker processes (:mod:`repro.pipeline.executor`),
-and :class:`Pipeline` serves repeated budget-matched extraction
-requests over one scored graph without ever rescoring.
+This package is the storage layer beneath :mod:`repro.flow`. Scored
+tables are content-addressed (:mod:`repro.pipeline.fingerprint`) and
+cached (:class:`ScoreStore`), so every plan, sweep and experiment
+served through :func:`repro.flow.serve` scores a (table, method) pair
+at most once per store. :func:`score_with_store` is the cached scoring
+call they all share, and :mod:`repro.pipeline.tasks` holds the
+picklable metric specs that sweeps evaluate.
 
-Typical use::
+Typical use: score once, then filter many ways.
 
-    from repro.pipeline import Pipeline, ScoreStore, run_sweep
-
-    store = ScoreStore(".repro-cache")          # disk + LRU tiers
-    pipe = Pipeline(store=store, workers=-1)
-    scored = pipe.score(method, table)           # cached
-    backbone = pipe.extract(method, table, share=0.1)   # no rescore
-    series = pipe.sweep(methods, table, DensityMetric())
+>>> from repro.evaluation.sweep import sweep_methods
+>>> from repro.flow import flow
+>>> from repro.graph.edge_table import EdgeTable
+>>> from repro.pipeline import DensityMetric, ScoreStore
+>>> table = EdgeTable.from_pairs(
+...     [(0, 1, 10.0), (0, 2, 10.0), (0, 3, 12.0), (0, 4, 12.0),
+...      (0, 5, 12.0), (1, 2, 4.0)], directed=False)
+>>> store = ScoreStore()  # memory-only; ScoreStore(".repro-cache") persists
+>>> plan = flow(table).method("NC", delta=1.0)
+>>> plan.budget(share=0.5).run(store=store).backbone.m
+3
+>>> plan.budget(n_edges=2).run(store=store).backbone.m  # no rescoring
+2
+>>> series = sweep_methods([plan.method_spec.build()], table,
+...                        DensityMetric(), store=store)
+>>> (store.stats.misses, store.stats.hits)
+(1, 2)
 
 The persistent tier is pluggable (:mod:`repro.pipeline.backends`):
 ``ScoreStore("scores.sqlite")`` keeps the cache in one WAL-mode SQLite
@@ -25,22 +35,20 @@ key-value service, and ``store.gc(max_bytes=...)`` evicts
 least-recently-used entries from any of them.
 
 Cached, sharded and serial paths are bit-identical by construction;
-see :mod:`repro.pipeline.executor` for the contract.
+see :mod:`repro.flow.serve` for the contract.
 """
 
 from .backends import (DirectoryBackend, GCPolicy, GCResult, KVBackend,
                        NegativeEntry, SQLiteBackend, StoreBackend,
                        open_backend)
-from .executor import (Pipeline, SweepOutcome, execute, run_sweep,
-                       score_with_store)
 from .fingerprint import (canonical_json, fingerprint_file,
                           fingerprint_method, fingerprint_score_request,
                           fingerprint_source_request, fingerprint_table,
                           method_config)
-from .store import CacheStats, ScoreStore
+from .store import CacheStats, ScoreStore, score_with_store
 from .tasks import (AverageDegreeMetric, CoverageMetric, DensityMetric,
                     EdgeCountMetric, METRIC_BUILDERS, StabilityMetric,
-                    SweepGraph, SweepShard, named_metric, plan_sweep)
+                    named_metric)
 
 __all__ = [
     "AverageDegreeMetric",
@@ -54,16 +62,11 @@ __all__ = [
     "KVBackend",
     "METRIC_BUILDERS",
     "NegativeEntry",
-    "Pipeline",
     "SQLiteBackend",
     "ScoreStore",
     "StoreBackend",
     "StabilityMetric",
-    "SweepGraph",
-    "SweepOutcome",
-    "SweepShard",
     "canonical_json",
-    "execute",
     "fingerprint_file",
     "fingerprint_method",
     "fingerprint_score_request",
@@ -72,7 +75,5 @@ __all__ = [
     "method_config",
     "named_metric",
     "open_backend",
-    "plan_sweep",
-    "run_sweep",
     "score_with_store",
 ]

@@ -23,8 +23,8 @@ on an unbalanceable network — is recorded once as a
 later :meth:`ScoreStore.get_or_compute`, instead of re-running the
 1000-iteration probe on every sweep.
 
-All traffic is counted in :class:`CacheStats`, which the executor
-surfaces so sweeps can report hit rates alongside their results, and
+All traffic is counted in :class:`CacheStats`, which sweeps and the
+CLI report as hit rates alongside their results, and
 :meth:`ScoreStore.gc` applies an LRU eviction policy
 (:class:`~repro.pipeline.backends.GCPolicy`) to the persistent tier.
 
@@ -40,12 +40,14 @@ rejoins the persistent tier when the service recovers.
 from __future__ import annotations
 
 import logging
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from ..backbones.base import ScoredEdges
+from ..backbones.base import BackboneMethod, ScoredEdges
+from ..graph.edge_table import EdgeTable
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 from .backends import (BackendCorruption, DirectoryBackend, EntryCorrupt,
@@ -54,7 +56,7 @@ from .backends import (BackendCorruption, DirectoryBackend, EntryCorrupt,
                        SchemaMismatch, StoreBackend, decode_entry,
                        encode_negative, encode_scored, open_backend,
                        run_gc)
-from .fingerprint import _SCHEMA_VERSION
+from .fingerprint import _SCHEMA_VERSION, fingerprint_score_request
 
 logger = logging.getLogger(__name__)
 
@@ -285,11 +287,11 @@ class ScoreStore:
     def adopt(self, key: str, entry) -> None:
         """Insert an entry computed elsewhere without counting traffic.
 
-        The executor folds worker-computed scores (or negative
-        verdicts) into the parent store through this: the worker's own
-        store already counted the miss and the put, so adopting must
-        not double-count (and must not rewrite a complete persistent
-        entry the worker already produced).
+        :func:`repro.flow.serve` folds worker-computed scores (or
+        negative verdicts) into the parent store through this: the
+        worker's own store already counted the miss and the put, so
+        adopting must not double-count (and must not rewrite a
+        complete persistent entry the worker already produced).
         """
         self._remember(key, entry)
         try:
@@ -359,7 +361,7 @@ class ScoreStore:
 
         Entries are live ``ScoredEdges`` or ``NegativeEntry`` objects;
         both kinds are picklable, which is how workers ship results
-        back to a memory-only parent store.
+        back to the parent store.
         """
         return list(self._memory.items())
 
@@ -367,7 +369,7 @@ class ScoreStore:
         """Backend spec a worker process can reopen, or ``None`` when
         the persistent tier is absent, process-local or degraded (a
         worker must not retry a backend the parent already gave up
-        on — it ships results back instead)."""
+        on; its shipped-back results are all the parent gets)."""
         if not self._backend_usable():
             return None
         return self.backend.spec()
@@ -511,3 +513,23 @@ class ScoreStore:
             self.stats.corrupt += 1
             self.backend.delete(key)
             return None
+
+
+def score_with_store(method: BackboneMethod, table: EdgeTable,
+                     store: Optional[ScoreStore],
+                     key: Optional[str] = None) -> ScoredEdges:
+    """``method.score(table)``, served from ``store`` when possible.
+
+    ``key`` accepts a precomputed fingerprint so sweep loops hash the
+    table once instead of once per method.
+
+    The ``score`` span's ``pid`` attribute tells worker-process
+    scoring apart from in-parent scoring in an exported trace.
+    """
+    with span("score", method=method.name, pid=os.getpid()):
+        if store is None:
+            return method.score(table)
+        if key is None:
+            key = fingerprint_score_request(table, method)
+        return store.get_or_compute(key, lambda: method.score(table),
+                                    label=method.name)

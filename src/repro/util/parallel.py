@@ -1,4 +1,4 @@
-"""Process-based fan-out shared by the shortest-path engine and sweeps.
+"""Process-based fan-out shared by the shortest-path engine and serving.
 
 Heavy root-parallel work (one shortest-path tree per root in the
 High-Salience Skeleton) splits naturally into independent chunks. This
@@ -17,8 +17,9 @@ exceptions propagate unchanged, while pool failures surface as a typed
 :class:`WorkerPoolError` carrying the ids (input indices) of the tasks
 whose results were lost. Callers that must survive worker death pass
 ``retry_serial=True`` and the lost tasks are transparently re-run in
-the parent process instead — the documented degradation path the serve
-daemon and the sweep executor rely on.
+the parent process instead — the documented degradation path
+:func:`repro.flow.serve` (and through it the serve daemon and every
+cached or sharded sweep) relies on.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -284,8 +286,9 @@ class TestSweepFileFingerprint:
         derives its cache keys from the streamed file fingerprint and
         the stored source binding — fingerprint_table is never called
         (so key derivation needs no parse)."""
-        import repro.pipeline as pipeline_pkg
-        import repro.pipeline.executor as executor_mod
+        # importlib: ``repro.flow`` is also the name of the flow()
+        # function, so ``import repro.flow.compile as m`` fails.
+        compile_mod = importlib.import_module("repro.flow.compile")
 
         cache = tmp_path / "cache"
         argv = ["sweep", str(edges_csv), "--methods", "NT,NC",
@@ -297,12 +300,8 @@ class TestSweepFileFingerprint:
             raise AssertionError("fingerprint_table called on a warm "
                                  "file sweep")
 
-        # Guard both import sites: the CLI's late package import and
-        # the executor's module-level binding.
-        monkeypatch.setattr(pipeline_pkg, "fingerprint_table",
-                            forbidden)
-        monkeypatch.setattr(executor_mod, "fingerprint_table",
-                            forbidden)
+        # The flow compiler's binding is the one the CLI sweep calls.
+        monkeypatch.setattr(compile_mod, "fingerprint_table", forbidden)
         assert main(argv) == 0
 
     def test_warm_sweep_hits_for_both_methods(self, edges_csv,

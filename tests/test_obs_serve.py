@@ -16,6 +16,7 @@
 
 import contextlib
 import logging
+import os
 import threading
 import time
 
@@ -130,11 +131,11 @@ class TestEndToEndTrace:
         assert {s["trace_id"] for s in artifact["spans"]} \
             == {artifact["trace_id"]}
         # Scoring spans recorded inside worker processes rode back:
-        # two cold keys fanned out to workers, plus the parent's
-        # serial cache-hit pass.
+        # both cold keys fanned out to workers, and the parent served
+        # the entries they shipped back without scoring again.
         pids = {s["attributes"]["pid"] for s in artifact["spans"]
                 if s["name"] == "score"}
-        assert len(pids) >= 2
+        assert pids and os.getpid() not in pids
         # One synthetic request root; its children (admission wait +
         # batch execution) account for roughly the request wall time.
         roots = artifact["tree"]

@@ -1,11 +1,13 @@
 """Tests for the repro.pipeline subsystem.
 
-Covers the cache-correctness contract of ISSUE 2: fingerprints identify
-content exactly, cached ``ScoredEdges`` round-trip bit-identically,
-poisoned store entries are detected and recomputed (never served), and
-cached/sharded sweep execution matches the plain serial path.
+Covers the cache-correctness contract: fingerprints identify content
+exactly, cached ``ScoredEdges`` round-trip bit-identically, poisoned
+store entries are detected and recomputed (never served), and cached
+and sharded execution through :func:`repro.flow.serve` matches the
+plain serial path, with the store's traffic counted once per request.
 """
 
+import importlib
 import json
 
 import numpy as np
@@ -24,12 +26,12 @@ from repro.backbones.registry import paper_methods
 from repro.core.noise_corrected import (NoiseCorrectedBackbone,
                                         NoiseCorrectedPValue)
 from repro.evaluation.sweep import sweep_methods
+from repro.flow import flow, serve
 from repro.graph.edge_table import EdgeTable
-from repro.pipeline import (CoverageMetric, DensityMetric, Pipeline,
-                            ScoreStore, fingerprint_method,
-                            fingerprint_table, named_metric, plan_sweep,
-                            run_sweep)
-from repro.pipeline.executor import execute, score_with_store
+from repro.pipeline import (CoverageMetric, DensityMetric, ScoreStore,
+                            SQLiteBackend, fingerprint_method,
+                            fingerprint_table, named_metric,
+                            score_with_store)
 
 
 def random_table(seed: int, n_nodes: int = 24, n_edges: int = 80,
@@ -39,6 +41,20 @@ def random_table(seed: int, n_nodes: int = 24, n_edges: int = 80,
     dst = rng.integers(0, n_nodes, n_edges)
     weight = rng.integers(1, 60, n_edges).astype(float)
     return EdgeTable(src, dst, weight, n_nodes=n_nodes, directed=directed)
+
+
+def count_scoring(monkeypatch, *classes):
+    """Record the code of every ``score`` call on ``classes``."""
+    calls = []
+    for cls in classes:
+        original = cls.score
+
+        def counting(self, arg, _original=original):
+            calls.append(self.code)
+            return _original(self, arg)
+
+        monkeypatch.setattr(cls, "score", counting)
+    return calls
 
 
 def assert_scored_identical(a: ScoredEdges, b: ScoredEdges) -> None:
@@ -107,10 +123,12 @@ class TestFingerprints:
 
     def test_nc_delta_variants_share_one_cache_entry(self, tmp_path):
         table = random_table(24)
-        pipe = Pipeline(cache_dir=tmp_path)
-        loose = pipe.extract(NoiseCorrectedBackbone(delta=0.5), table)
-        strict = pipe.extract(NoiseCorrectedBackbone(delta=3.0), table)
-        assert pipe.stats.misses == 1 and pipe.stats.hits == 1
+        store = ScoreStore(tmp_path)
+        loose = flow(table).method(NoiseCorrectedBackbone(delta=0.5)) \
+            .run(store=store).backbone
+        strict = flow(table).method(NoiseCorrectedBackbone(delta=3.0)) \
+            .run(store=store).backbone
+        assert store.stats.misses == 1 and store.stats.hits == 1
         assert loose == NoiseCorrectedBackbone(delta=0.5).extract(table)
         assert strict == NoiseCorrectedBackbone(delta=3.0).extract(table)
 
@@ -260,6 +278,8 @@ class TestScoreStorePoisoning:
 
 
 class TestExecutor:
+    """Cached and sharded sweeps, served through ``flow.serve``."""
+
     def test_cached_and_sharded_match_serial(self, tmp_path):
         table = random_table(10, n_nodes=30, n_edges=140)
         methods = paper_methods()
@@ -276,16 +296,11 @@ class TestExecutor:
     def test_warm_store_skips_rescoring(self, tmp_path, monkeypatch):
         table = random_table(11)
         store = ScoreStore(tmp_path)
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=store)
-        calls = []
-        original = NaiveThreshold.score
-
-        def counting(self, arg):
-            calls.append(1)
-            return original(self, arg)
-
-        monkeypatch.setattr(NaiveThreshold, "score", counting)
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=store)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store)
+        calls = count_scoring(monkeypatch, NaiveThreshold)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=store)
         assert calls == []
 
     def test_interrupted_sweep_resumes_from_store(self, tmp_path,
@@ -294,55 +309,71 @@ class TestExecutor:
         store = ScoreStore(tmp_path)
         methods = [NaiveThreshold(), DisparityFilter(),
                    NoiseCorrectedBackbone()]
-        # "Interruption": only the first two shards completed.
-        run_sweep(methods[:2], table, DensityMetric(), store=store)
-        scored_codes = []
-        for cls in (NaiveThreshold, DisparityFilter,
-                    NoiseCorrectedBackbone):
-            original = cls.score
-
-            def counting(self, arg, _original=original):
-                scored_codes.append(self.code)
-                return _original(self, arg)
-
-            monkeypatch.setattr(cls, "score", counting)
-        result = run_sweep(methods, table, DensityMetric(), store=store)
-        assert scored_codes == ["NC"]  # only the missing shard scored
+        # "Interruption": only the first two methods completed.
+        sweep_methods(methods[:2], table, DensityMetric(), store=store)
+        scored_codes = count_scoring(monkeypatch, NaiveThreshold,
+                                     DisparityFilter,
+                                     NoiseCorrectedBackbone)
+        result = sweep_methods(methods, table, DensityMetric(),
+                               store=store)
+        assert scored_codes == ["NC"]  # only the missing method scored
         assert set(result) == {"NT", "DF", "NC"}
+        assert (store.stats.misses, store.stats.puts) == (3, 3)
+        assert store.stats.memory_hits == 2
 
     def test_memory_only_store_caches_across_workers(self):
-        # Regression: workers used to bypass a store with no disk tier.
+        # Regression: workers used to bypass a store with no disk tier,
+        # and each cold key was then counted twice (a miss in the
+        # worker plus a hit when the parent read the adopted entry).
         table = random_table(23)
         store = ScoreStore()  # memory-only
         methods = [NaiveThreshold(), DisparityFilter()]
-        first = run_sweep(methods, table, DensityMetric(), store=store,
-                          workers=2)
+        first = sweep_methods(methods, table, DensityMetric(),
+                              store=store, workers=2)
         assert len(store) == 2  # worker results adopted by the parent
         assert store.stats.puts == 2 and store.stats.misses == 2
-        second = run_sweep(methods, table, DensityMetric(), store=store)
+        assert store.stats.requests == 2
+        second = sweep_methods(methods, table, DensityMetric(),
+                               store=store)
         assert first == second
         assert store.stats.memory_hits == 2  # served without rescoring
 
+    def test_directory_store_counts_cold_sharded_keys_once(self,
+                                                           tmp_path):
+        table = random_table(28)
+        store = ScoreStore(tmp_path)
+        methods = [NaiveThreshold(), DisparityFilter()]
+        sharded = sweep_methods(methods, table, DensityMetric(),
+                                store=store, workers=2)
+        assert (store.stats.misses, store.stats.puts) == (2, 2)
+        assert store.stats.hits == 0
+        assert sharded == sweep_methods(methods, table, DensityMetric())
+
     def test_warm_parent_store_serves_sharded_sweeps(self, monkeypatch):
         # Regression: a warm memory-only store must be consulted before
-        # shipping shards to workers, or everything is recomputed.
+        # shipping scoring requests to workers, or everything is
+        # recomputed. (importlib: ``repro.flow.serve`` is also the name
+        # of the serve() function.)
+        serve_mod = importlib.import_module("repro.flow.serve")
         table = random_table(25)
         store = ScoreStore()
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=store)
-        calls = []
-        original = NaiveThreshold.score
+        methods = [NaiveThreshold(), DisparityFilter()]
+        sweep_methods(methods, table, DensityMetric(), store=store)
+        calls = count_scoring(monkeypatch, NaiveThreshold,
+                              DisparityFilter)
+        shipped = []
+        original = serve_mod.parallel_map
 
-        def counting(self, arg):
-            calls.append(1)
-            return original(self, arg)
+        def spying(fn, items, **kwargs):
+            items = list(items)
+            shipped.extend(items)
+            return original(fn, items, **kwargs)
 
-        monkeypatch.setattr(NaiveThreshold, "score", counting)
-        run_sweep([NaiveThreshold()], table, DensityMetric(),
-                  store=store, workers=2)
+        monkeypatch.setattr(serve_mod, "parallel_map", spying)
+        sweep_methods(methods, table, DensityMetric(), store=store,
+                      workers=2)
         assert calls == []  # served from the parent memory tier
-        pipe = Pipeline(store=store)
-        assert pipe.warm([NaiveThreshold()], table, workers=2) == 1
-        assert calls == []  # warm also skips already-cached methods
+        assert shipped == []  # nothing shipped to workers
 
     def test_unscorable_method_maps_to_empty_series(self):
         class Unbalanceable(NaiveThreshold):
@@ -350,8 +381,8 @@ class TestExecutor:
                 raise SinkhornConvergenceError("nope")
 
         table = random_table(13)
-        series = run_sweep([Unbalanceable()], table, DensityMetric(),
-                           store=ScoreStore())
+        series = sweep_methods([Unbalanceable()], table, DensityMetric(),
+                               store=ScoreStore())
         assert series["NT"].shares == [] and series["NT"].values == []
 
     def test_parameter_free_series_matches_serial(self, tmp_path):
@@ -364,25 +395,10 @@ class TestExecutor:
         assert serial == cached
         assert cached["MST"].parameter_free
 
-    def test_plan_sweep_shapes(self):
-        table = random_table(15)
-        graph = plan_sweep([NaiveThreshold(), MaximumSpanningTree()],
-                           table, DensityMetric(), shares=(0.1, 0.5))
-        assert graph.codes == ["NT", "MST"]
-        assert graph.shards[0].shares == (0.1, 0.5)
-        assert graph.shards[1].shares == ()  # parameter-free: one point
-
-    def test_execute_reports_stats(self, tmp_path):
-        table = random_table(16)
-        graph = plan_sweep([NaiveThreshold()], table, DensityMetric())
-        store = ScoreStore(tmp_path)
-        outcome = execute(graph, store=store)
-        assert outcome.stats.misses == 1 and outcome.stats.puts == 1
-        outcome = execute(graph, store=store)
-        assert outcome.stats.hits >= 1
-
 
 class TestPipelineFacade:
+    """Score once, extract many times: plan runs over one store."""
+
     @pytest.mark.parametrize("method", [
         NoiseCorrectedBackbone(delta=1.0),
         NoiseCorrectedPValue(delta=1.0),
@@ -394,43 +410,45 @@ class TestPipelineFacade:
     ], ids=lambda m: m.code)
     def test_cached_extract_matches_direct(self, tmp_path, method):
         table = random_table(17, n_nodes=20, n_edges=90)
-        pipe = Pipeline(cache_dir=tmp_path)
+        store = ScoreStore(tmp_path)
+        plan = flow(table).method(method)
+
+        def extract(**budget):
+            staged = plan.budget(**budget) if budget else plan
+            return staged.run(store=store).backbone
+
         if method.parameter_free:
-            assert pipe.extract(method, table) == method.extract(table)
+            assert extract() == method.extract(table)
         elif method.code in ("NC", "NCp", "HSS", "KC"):
-            assert pipe.extract(method, table) == method.extract(table)
-            assert pipe.extract(method, table, n_edges=12) \
+            assert extract() == method.extract(table)
+            assert extract(n_edges=12) \
                 == method.extract(table, n_edges=12)
         else:
-            assert pipe.extract(method, table, share=0.25) \
+            assert extract(share=0.25) \
                 == method.extract(table, share=0.25)
 
     def test_extract_hits_cache_across_budgets(self, tmp_path):
         table = random_table(18)
-        pipe = Pipeline(cache_dir=tmp_path)
-        method = NoiseCorrectedBackbone()
-        pipe.extract(method, table, n_edges=10)
-        pipe.extract(method, table, n_edges=20)
-        pipe.extract(method, table, share=0.5)
-        assert pipe.stats.misses == 1
-        assert pipe.stats.hits == 2
+        store = ScoreStore(tmp_path)
+        plan = flow(table).method(NoiseCorrectedBackbone())
+        plan.budget(n_edges=10).run(store=store)
+        plan.budget(n_edges=20).run(store=store)
+        plan.budget(share=0.5).run(store=store)
+        assert store.stats.misses == 1
+        assert store.stats.hits == 2
 
     def test_warm_serial_and_parallel(self, tmp_path):
         table = random_table(19)
-        methods = [NaiveThreshold(), DisparityFilter()]
-        pipe = Pipeline(cache_dir=tmp_path)
-        assert pipe.warm(methods, table) == 2
-        fresh = Pipeline()  # memory-only store
-        assert fresh.warm(methods, table, workers=2) == 2
-        fresh.score(methods[0], table)
+        plans = [flow(table).method(method).budget(share=0.5)
+                 for method in (NaiveThreshold(), DisparityFilter())]
+        store = ScoreStore(tmp_path)
+        assert all(result.ok for result in serve(plans, store=store))
+        assert len(store) == 2
+        fresh = ScoreStore()  # memory-only store
+        assert all(result.ok
+                   for result in serve(plans, store=fresh, workers=2))
+        plans[0].scores(store=fresh)
         assert fresh.stats.hits >= 1
-
-    def test_sweep_uses_configured_workers(self, tmp_path):
-        table = random_table(20)
-        pipe = Pipeline(cache_dir=tmp_path, workers=2)
-        series = pipe.sweep([NaiveThreshold(), DisparityFilter()], table,
-                            DensityMetric())
-        assert set(series) == {"NT", "DF"}
 
     def test_named_metric_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown metric"):
@@ -482,12 +500,12 @@ class TestNegativeCaching:
         calls = self.counting_sinkhorn(monkeypatch)
         table = self.unbalanceable()
         store = ScoreStore(tmp_path)
-        first = run_sweep([DoublyStochastic()], table, DensityMetric(),
-                          store=store)
+        first = sweep_methods([DoublyStochastic()], table,
+                              DensityMetric(), store=store)
         assert calls == [1]
         assert first["DS"].shares == []  # the paper's "n/a" cell
-        second = run_sweep([DoublyStochastic()], table, DensityMetric(),
-                           store=store)
+        second = sweep_methods([DoublyStochastic()], table,
+                               DensityMetric(), store=store)
         assert calls == [1]  # zero Sinkhorn iterations the second time
         assert second == first
         assert store.stats.negative_hits == 1
@@ -498,12 +516,12 @@ class TestNegativeCaching:
         from repro.backbones.doubly_stochastic import DoublyStochastic
 
         table = self.unbalanceable()
-        run_sweep([DoublyStochastic()], table, DensityMetric(),
-                  store=ScoreStore(tmp_path))
+        sweep_methods([DoublyStochastic()], table, DensityMetric(),
+                      store=ScoreStore(tmp_path))
         calls = self.counting_sinkhorn(monkeypatch)
         fresh = ScoreStore(tmp_path)  # same directory, empty memory tier
-        series = run_sweep([DoublyStochastic()], table, DensityMetric(),
-                           store=fresh)
+        series = sweep_methods([DoublyStochastic()], table,
+                               DensityMetric(), store=fresh)
         assert calls == []  # served from the persisted negative entry
         assert series["DS"].shares == []
         assert fresh.stats.negative_hits == 1
@@ -514,8 +532,8 @@ class TestNegativeCaching:
         calls = self.counting_sinkhorn(monkeypatch)
         store = ScoreStore()
         for _ in range(3):
-            run_sweep([DoublyStochastic()], self.unbalanceable(),
-                      DensityMetric(), store=store)
+            sweep_methods([DoublyStochastic()], self.unbalanceable(),
+                          DensityMetric(), store=store)
         assert calls == [1]
         assert store.stats.negative_hits == 2
 
@@ -539,18 +557,25 @@ class TestSQLiteThroughPipeline:
         # their scored tables through the sqlite:// worker spec.
         table = random_table(27)
         path = tmp_path / "scores.sqlite"
-        run_sweep([NaiveThreshold(), DisparityFilter()], table,
-                  DensityMetric(), store=ScoreStore(path), workers=2)
-        calls = []
-        original = NaiveThreshold.score
+        store = ScoreStore(path)
+        assert store.worker_spec().startswith("sqlite://")
+        # Forked workers run this spy too, but append to their own copy
+        # of the list: only writes made by this process show up here.
+        parent_writes = []
+        original_put = SQLiteBackend.put
 
-        def counting(self, arg):
-            calls.append(1)
-            return original(self, arg)
+        def recording(self, key, entry):
+            parent_writes.append(key)
+            return original_put(self, key, entry)
 
-        monkeypatch.setattr(NaiveThreshold, "score", counting)
+        monkeypatch.setattr(SQLiteBackend, "put", recording)
+        sweep_methods([NaiveThreshold(), DisparityFilter()], table,
+                      DensityMetric(), store=store, workers=2)
+        assert parent_writes == []  # the workers wrote every entry
+        calls = count_scoring(monkeypatch, NaiveThreshold)
         fresh = ScoreStore(path)
-        run_sweep([NaiveThreshold()], table, DensityMetric(), store=fresh)
+        sweep_methods([NaiveThreshold()], table, DensityMetric(),
+                      store=fresh)
         assert calls == []
         assert fresh.stats.disk_hits == 1
 

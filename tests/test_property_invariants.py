@@ -7,7 +7,7 @@ score bounds, budget exactness, subset relations, conservation laws.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backbones import (DisparityFilter, MaximumSpanningTree,
@@ -54,8 +54,14 @@ def edge_tables(draw, max_nodes=14, directed=None, min_edges=1):
                      directed=directed, coalesce=False)
 
 
+#: A directed one-edge table of weight 1: ``N.. = 1`` leaves the
+#: hypergeometric prior variance undefined (it divides by ``N.. - 1``).
+UNIT_TOTAL = EdgeTable([0], [1], [1.0], n_nodes=3, directed=True)
+
+
 class TestNoiseCorrectedInvariants:
     @given(edge_tables())
+    @example(UNIT_TOTAL)
     @settings(max_examples=60, deadline=None)
     def test_scores_in_unit_band(self, table):
         scored = NoiseCorrectedBackbone().score(table)
@@ -72,6 +78,7 @@ class TestNoiseCorrectedInvariants:
         assert np.all(expectation <= table.grand_total + 1e-9)
 
     @given(edge_tables())
+    @example(UNIT_TOTAL)
     @settings(max_examples=40, deadline=None)
     def test_backbone_subset_and_monotone_in_delta(self, table):
         loose = NoiseCorrectedBackbone(delta=0.5).extract(table)
