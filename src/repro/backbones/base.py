@@ -179,6 +179,15 @@ class BackboneMethod(ABC):
             return scored.top_share(share)
         return scored.top_k(n_edges)
 
+    def rank_values(self, scored: ScoredEdges) -> np.ndarray:
+        """Per-edge values this method's own budgets rank and cut by.
+
+        The raw score by default; NC overrides it with its δ rule. The
+        streaming filter phase ranks by it so it matches
+        :meth:`extract_from_scores`.
+        """
+        return scored.score
+
     def describe(self) -> Dict[str, object]:
         """Declarative identity of this configured method instance.
 
@@ -264,5 +273,10 @@ def prepare_table(table: EdgeTable) -> EdgeTable:
     them before scoring (matching the reference implementation's
     ``return_self_loops=False`` default).
     """
-    require(table.m > 0, "cannot extract a backbone from an empty network")
+    require_edges(table.m)
     return table.without_self_loops()
+
+
+def require_edges(m: int) -> None:
+    """Refuse an empty network; ``m`` counts every row, self-loops too."""
+    require(m > 0, "cannot extract a backbone from an empty network")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, NodeTotals
 from .base import BackboneMethod, ScoredEdges, prepare_table
 
 
@@ -31,24 +31,23 @@ class DisparityFilter(BackboneMethod):
 
     def score(self, table: EdgeTable) -> ScoredEdges:
         table = prepare_table(table)
-        if table.directed:
-            p_source = _one_sided_p_values(table.weight,
-                                           table.out_strength()[table.src],
-                                           table.out_degree()[table.src])
-            p_target = _one_sided_p_values(table.weight,
-                                           table.in_strength()[table.dst],
-                                           table.in_degree()[table.dst])
-        else:
-            strength = table.strength()
-            degree = table.degree()
-            p_source = _one_sided_p_values(table.weight,
-                                           strength[table.src],
-                                           degree[table.src])
-            p_target = _one_sided_p_values(table.weight,
-                                           strength[table.dst],
-                                           degree[table.dst])
+        return self.score_edges(table, table.node_totals())
+
+    def score_edges(self, edges: EdgeTable,
+                    totals: NodeTotals) -> ScoredEdges:
+        """Per-edge scores of loop-free ``edges`` against ``totals``.
+
+        Undirected totals share one array between out and in, so both
+        endpoints are tested on their strength and degree.
+        """
+        p_source = _one_sided_p_values(edges.weight,
+                                       totals.out_strength[edges.src],
+                                       totals.out_degree[edges.src])
+        p_target = _one_sided_p_values(edges.weight,
+                                       totals.in_strength[edges.dst],
+                                       totals.in_degree[edges.dst])
         p_values = np.minimum(p_source, p_target)
-        return ScoredEdges(table=table, score=1.0 - p_values,
+        return ScoredEdges(table=edges, score=1.0 - p_values,
                            method=self.name)
 
 

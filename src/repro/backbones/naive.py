@@ -9,7 +9,7 @@ sweep includes.
 
 from __future__ import annotations
 
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, NodeTotals
 from .base import BackboneMethod, ScoredEdges, prepare_table
 
 
@@ -21,5 +21,10 @@ class NaiveThreshold(BackboneMethod):
 
     def score(self, table: EdgeTable) -> ScoredEdges:
         table = prepare_table(table)
-        return ScoredEdges(table=table, score=table.weight.copy(),
+        return self.score_edges(table, table.node_totals())
+
+    def score_edges(self, edges: EdgeTable,
+                    totals: NodeTotals) -> ScoredEdges:
+        """Each row's weight; ``totals`` is unused."""
+        return ScoredEdges(table=edges, score=edges.weight.copy(),
                            method=self.name)

@@ -13,54 +13,60 @@ edge is; Eq. 1 maps it onto the symmetric score
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, NodeTotals
 
 
-def edge_marginals(table: EdgeTable
+def edge_marginals(table: EdgeTable, totals: Optional[NodeTotals] = None
                    ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Per-edge ``(N_i., N_.j)`` and the grand total ``N..``.
 
     For undirected tables the marginals are node strengths on the doubled
     representation, and ``N..`` is twice the stored weight — the same
     convention as the reference implementation.
+
+    ``totals`` supplies the node marginals; it defaults to the table's
+    own (:meth:`EdgeTable.node_totals`).
     """
-    out_strength = table.out_strength()
-    in_strength = table.in_strength()
-    return (out_strength[table.src], in_strength[table.dst],
-            table.grand_total)
+    if totals is None:
+        totals = table.node_totals()
+    return (totals.out_strength[table.src], totals.in_strength[table.dst],
+            totals.grand_total)
 
 
-def expected_weights(table: EdgeTable) -> np.ndarray:
+def expected_weights(table: EdgeTable,
+                     totals: Optional[NodeTotals] = None) -> np.ndarray:
     """Null-model expectation ``E[N_ij]`` per edge."""
-    ni, nj, total = edge_marginals(table)
+    ni, nj, total = edge_marginals(table, totals)
     return ni * nj / total
 
 
-def lift(table: EdgeTable) -> np.ndarray:
+def lift(table: EdgeTable,
+         totals: Optional[NodeTotals] = None) -> np.ndarray:
     """Observed over expected weight, ``L_ij``.
 
     Rows whose expectation is zero (possible only for zero-weight edges
     between otherwise isolated endpoints) get a lift of zero.
     """
-    expectation = expected_weights(table)
+    expectation = expected_weights(table, totals)
     out = np.zeros(table.m, dtype=np.float64)
     positive = expectation > 0
     out[positive] = table.weight[positive] / expectation[positive]
     return out
 
 
-def transformed_lift(table: EdgeTable) -> np.ndarray:
+def transformed_lift(table: EdgeTable,
+                     totals: Optional[NodeTotals] = None) -> np.ndarray:
     """The symmetric score of Eq. 1: ``(L - 1) / (L + 1)``.
 
     A value of 0 means "exactly as expected"; +x and -x are equally far
     from the expectation on either side (the paper's example: lifts 0.1
     and 10 map to -0.81 and +0.81).
     """
-    return transform_lift_values(lift(table))
+    return transform_lift_values(lift(table, totals))
 
 
 def transform_lift_values(lift_values: np.ndarray) -> np.ndarray:
@@ -89,19 +95,21 @@ def transformed_lift_matrix(table: EdgeTable) -> np.ndarray:
     return scores
 
 
-def kappa(table: EdgeTable) -> np.ndarray:
+def kappa(table: EdgeTable,
+          totals: Optional[NodeTotals] = None) -> np.ndarray:
     """The paper's ``κ = 1 / E[N_ij] = N.. / (N_i. N_.j)`` per edge.
 
     Rows with a zero marginal product get ``κ = inf`` (their lift is
     undefined; callers mask them out).
     """
-    ni, nj, total = edge_marginals(table)
+    ni, nj, total = edge_marginals(table, totals)
     product = ni * nj
     with np.errstate(divide="ignore"):
         return np.where(product > 0, total / product, np.inf)
 
 
-def kappa_derivative(table: EdgeTable) -> np.ndarray:
+def kappa_derivative(table: EdgeTable,
+                     totals: Optional[NodeTotals] = None) -> np.ndarray:
     """``dκ/dN_ij`` used by the delta-method variance (paper Section IV).
 
     Raising ``N_ij`` by one unit raises ``N_i.``, ``N_.j`` and ``N..``
@@ -109,7 +117,7 @@ def kappa_derivative(table: EdgeTable) -> np.ndarray:
 
     ``dκ/dN_ij = 1/(N_i. N_.j) - N.. (N_i. + N_.j) / (N_i. N_.j)^2``
     """
-    ni, nj, total = edge_marginals(table)
+    ni, nj, total = edge_marginals(table, totals)
     product = ni * nj
     with np.errstate(divide="ignore", invalid="ignore"):
         value = 1.0 / product - total * (ni + nj) / product ** 2

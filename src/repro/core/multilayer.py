@@ -18,22 +18,23 @@ This module implements that extension with two null models:
   influence the backbone" behaviour the paper anticipates.
 
 Scores and variances reuse the single-layer NC machinery: within each
-layer the coupled null rescales the marginals, then the transformed
-lift and its delta-method variance follow unchanged.
+layer the coupled null only rescales the node marginals, and
+:meth:`NoiseCorrectedBackbone.score_edges` scores the layer against
+those coupled totals, so the transformed lift, its posterior and its
+delta-method variance follow unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping
 
 import numpy as np
 
 from ..backbones.base import ScoredEdges
 from ..graph.edge_table import EdgeTable
-from ..stats.distributions import (binomial_variance,
-                                   hypergeometric_prior_moments)
 from ..util.validation import require
+from .noise_corrected import NoiseCorrectedBackbone
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,9 @@ class MultilayerScores:
 
     def backbone(self, delta: float = 1.64) -> Dict[str, EdgeTable]:
         """Per-layer δ-filtered backbones."""
-        require(delta >= 0, "delta must be non-negative")
-        out = {}
-        for name, scored in self.layers.items():
-            out[name] = scored.table.subset(
-                scored.score - delta * scored.sdev > 0)
-        return out
+        method = NoiseCorrectedBackbone(delta)
+        return {name: method.extract_from_scores(scored)
+                for name, scored in self.layers.items()}
 
     def flattened_backbone(self, delta: float = 1.64) -> EdgeTable:
         """Union of the per-layer backbones over the shared node set."""
@@ -114,11 +112,9 @@ def multilayer_noise_corrected(network: MultilayerNetwork,
     """
     require(null_model in ("independent", "coupled"),
             f"unknown null model {null_model!r}")
+    method = NoiseCorrectedBackbone()
     scored_layers: Dict[str, ScoredEdges] = {}
     if null_model == "independent":
-        from .noise_corrected import NoiseCorrectedBackbone
-
-        method = NoiseCorrectedBackbone()
         for name, table in network.layers.items():
             scored_layers[name] = method.score(table)
         return MultilayerScores(layers=scored_layers,
@@ -129,58 +125,12 @@ def multilayer_noise_corrected(network: MultilayerNetwork,
     pooled_total = network.grand_total()
     require(pooled_total > 1, "multilayer network has no weight")
     for name, table in network.layers.items():
-        activity = table.grand_total / pooled_total
-        scored_layers[name] = _score_with_marginals(
-            table, pooled_out[table.src] * np.sqrt(activity),
-            pooled_in[table.dst] * np.sqrt(activity), pooled_total,
-            method_name=f"Noise-Corrected (coupled, layer={name})")
+        own = table.node_totals()
+        scale = np.sqrt(own.grand_total / pooled_total)
+        coupled = replace(own, out_strength=pooled_out * scale,
+                          in_strength=pooled_in * scale,
+                          grand_total=pooled_total)
+        scored_layers[name] = replace(
+            method.score_edges(table, coupled),
+            method=f"Noise-Corrected (coupled, layer={name})")
     return MultilayerScores(layers=scored_layers, null_model="coupled")
-
-
-def _score_with_marginals(table: EdgeTable, ni: np.ndarray,
-                          nj: np.ndarray, total: float,
-                          method_name: str) -> ScoredEdges:
-    """Single-layer NC scoring with externally supplied marginals.
-
-    Reimplements the score/variance pipeline of
-    :mod:`repro.core.noise_corrected` with ``(N_i., N_.j, N..)`` replaced
-    by the coupled-null quantities. The expected weight becomes
-    ``ni * nj / total`` and everything else follows the paper's Section
-    IV formulas verbatim.
-    """
-    weight = table.weight
-    product = ni * nj
-    with np.errstate(divide="ignore"):
-        kappa = np.where(product > 0, total / product, np.inf)
-    finite = np.isfinite(kappa)
-    score = np.full(table.m, -1.0)
-    score[finite] = (kappa[finite] * weight[finite] - 1.0) \
-        / (kappa[finite] * weight[finite] + 1.0)
-
-    # Posterior for P_ij under the coupled marginals.
-    prior_mean, prior_variance = hypergeometric_prior_moments(
-        np.clip(ni, 1e-12, None), np.clip(nj, 1e-12, None), total)
-    feasible = ((prior_mean > 0) & (prior_mean < 1)
-                & (prior_variance > 0)
-                & (prior_variance < prior_mean * (1 - prior_mean)))
-    posterior_mean = np.clip(weight / total, 1.0 / (2 * total),
-                             1 - 1.0 / (2 * total))
-    mu = prior_mean[feasible]
-    var = prior_variance[feasible]
-    alpha = (mu ** 2 / var) * (1 - mu) - mu
-    beta = mu * ((1 - mu) ** 2 / var + 1) - 1
-    posterior_mean[feasible] = (weight[feasible] + alpha) \
-        / (total + alpha + beta)
-    weight_variance = binomial_variance(total, posterior_mean)
-
-    derivative = np.zeros(table.m)
-    derivative[finite] = (1.0 / product[finite]
-                          - total * (ni[finite] + nj[finite])
-                          / product[finite] ** 2)
-    factor = np.zeros(table.m)
-    factor[finite] = (2.0 * (kappa[finite] + weight[finite]
-                             * derivative[finite])
-                      / (kappa[finite] * weight[finite] + 1.0) ** 2)
-    sdev = np.sqrt(np.clip(weight_variance * factor ** 2, 0, None))
-    return ScoredEdges(table=table, score=score, method=method_name,
-                       sdev=sdev)

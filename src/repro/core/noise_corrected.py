@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ..backbones.base import BackboneMethod, ScoredEdges, prepare_table
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, NodeTotals
 from .lift import edge_marginals, transformed_lift
 from .posterior import PosteriorResult, posterior_probability
 from .variance import transformed_lift_sdev
@@ -67,18 +67,36 @@ class NoiseCorrectedBackbone(BackboneMethod):
     def score(self, table: EdgeTable) -> NoiseCorrectedScores:
         """Return the transformed lift and its standard deviation."""
         table = prepare_table(table)
-        posterior = posterior_probability(table) if self.use_posterior \
-            else None
-        score = transformed_lift(table)
-        sdev = transformed_lift_sdev(table, posterior=posterior,
-                                     use_posterior=self.use_posterior)
-        return NoiseCorrectedScores(table=table, score=score,
+        return self.score_edges(table, table.node_totals())
+
+    def score_edges(self, edges: EdgeTable,
+                    totals: NodeTotals) -> NoiseCorrectedScores:
+        """Score loop-free ``edges`` against the node marginals ``totals``.
+
+        Row ``i``'s score and sdev read only row ``i`` and ``totals``,
+        so any block of rows scores exactly like the same rows of the
+        whole table.
+        """
+        posterior = posterior_probability(edges, totals) \
+            if self.use_posterior else None
+        score = transformed_lift(edges, totals)
+        sdev = transformed_lift_sdev(edges, posterior=posterior,
+                                     use_posterior=self.use_posterior,
+                                     totals=totals)
+        return NoiseCorrectedScores(table=edges, score=score,
                                     method=self.name, sdev=sdev,
                                     posterior=posterior)
 
     def default_budget(self):
         """The paper's rule: keep ``(i, j)`` iff ``c_ij - δ·sd(c_ij) > 0``."""
         return {"threshold": 0.0}
+
+    def rank_values(self, scored: ScoredEdges) -> np.ndarray:
+        """The δ rule's ranking values, ``score - δ·sdev``."""
+        if scored.sdev is None:
+            raise ValueError("NC extraction needs per-edge sdev; these "
+                             "scores carry none")
+        return scored.score - self.delta * scored.sdev
 
     def extract_from_scores(self, scored: ScoredEdges,
                             threshold: Optional[float] = None,
@@ -87,16 +105,13 @@ class NoiseCorrectedBackbone(BackboneMethod):
         """δ-adjusted extraction on precomputed (possibly cached) scores.
 
         All budgets (and the default δ rule) rank by
-        ``score - δ·sdev``, so edge-budget matched comparisons respect
+        :meth:`rank_values`, so edge-budget matched comparisons respect
         the NC ordering.
         """
         threshold, share, n_edges = self._resolve_budget(threshold, share,
                                                          n_edges)
-        if scored.sdev is None:
-            raise ValueError("NC extraction needs per-edge sdev; these "
-                             "scores carry none")
-        adjusted = scored.score - self.delta * scored.sdev
-        ranked = ScoredEdges(table=scored.table, score=adjusted,
+        ranked = ScoredEdges(table=scored.table,
+                             score=self.rank_values(scored),
                              method=self.name, sdev=scored.sdev)
         if threshold is not None:
             return ranked.filter(threshold)
@@ -108,7 +123,7 @@ class NoiseCorrectedBackbone(BackboneMethod):
         """Scores shifted by ``-δ·sd`` (the distribution of paper Fig. 2)."""
         scored = self.score(table)
         return ScoredEdges(table=scored.table,
-                           score=scored.score - self.delta * scored.sdev,
+                           score=self.rank_values(scored),
                            method=self.name, sdev=scored.sdev)
 
 
@@ -148,21 +163,26 @@ class NoiseCorrectedPValue(BackboneMethod):
         return {"threshold": 1.0 - self.p_cut}
 
     def score(self, table: EdgeTable) -> ScoredEdges:
+        table = prepare_table(table)
+        return self.score_edges(table, table.node_totals())
+
+    def score_edges(self, edges: EdgeTable,
+                    totals: NodeTotals) -> ScoredEdges:
+        """Per-edge ``1 - p`` of loop-free ``edges`` against ``totals``."""
         from ..stats import special
 
-        table = prepare_table(table)
-        ni, nj, total = edge_marginals(table)
+        ni, nj, total = edge_marginals(edges, totals)
         probability = np.clip((ni * nj) / total ** 2, 0.0, 1.0)
-        weight = table.weight
+        weight = edges.weight
         # P(X >= k) = I_p(k, n - k + 1), valid for 0 < k <= n.
         inside = (weight > 0) & (weight <= total) & (probability > 0) \
             & (probability < 1)
-        p_values = np.ones(table.m, dtype=np.float64)
+        p_values = np.ones(edges.m, dtype=np.float64)
         k = weight[inside]
         p_values[inside] = special.betainc(k, total - k + 1.0,
                                            probability[inside])
         # Degenerate rows: positive weight with zero null probability is
         # maximally surprising.
         p_values[(probability <= 0) & (weight > 0)] = 0.0
-        return ScoredEdges(table=table, score=1.0 - p_values,
+        return ScoredEdges(table=edges, score=1.0 - p_values,
                            method=self.name)

@@ -46,8 +46,8 @@ class PooledScores:
 
     def backbone(self, delta: float = 1.64) -> EdgeTable:
         """Delta filter on the pooled scores."""
-        require(delta >= 0, "delta must be non-negative")
-        return self.table.subset(self.score - delta * self.sdev > 0)
+        return NoiseCorrectedBackbone(delta).extract_from_scores(
+            self.as_scored_edges())
 
 
 def _aligned_scores(years: Sequence[EdgeTable]

@@ -11,10 +11,11 @@ nodes at random as its total weight grows).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, NodeTotals
 from ..stats.distributions import hypergeometric_prior_moments
 from .lift import edge_marginals
 
@@ -53,7 +54,9 @@ class PosteriorResult:
         return np.where(np.isfinite(out), out, 0.0)
 
 
-def posterior_probability(table: EdgeTable) -> PosteriorResult:
+def posterior_probability(table: EdgeTable,
+                          totals: Optional[NodeTotals] = None
+                          ) -> PosteriorResult:
     """Posterior of ``P_ij`` for every edge of ``table``.
 
     Implements Eqs. 4–8: prior moments from
@@ -68,7 +71,7 @@ def posterior_probability(table: EdgeTable) -> PosteriorResult:
     ``N.. = 1`` the prior variance is undefined (it divides by
     ``N.. - 1``), so the prior moments are NaN and every edge falls back.
     """
-    ni, nj, total = edge_marginals(table)
+    ni, nj, total = edge_marginals(table, totals)
     weight = table.weight
     if total == 1.0:
         prior_mean, prior_variance = np.full((2, len(weight)), np.nan)

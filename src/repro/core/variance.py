@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, NodeTotals
 from ..stats.distributions import binomial_variance
 from .lift import kappa, kappa_derivative
 from .posterior import PosteriorResult, posterior_probability
@@ -24,16 +24,19 @@ from .posterior import PosteriorResult, posterior_probability
 
 def edge_weight_variance(table: EdgeTable,
                          posterior: Optional[PosteriorResult] = None,
-                         use_posterior: bool = True) -> np.ndarray:
+                         use_posterior: bool = True,
+                         totals: Optional[NodeTotals] = None) -> np.ndarray:
     """Binomial variance of ``N_ij`` (paper Eq. 2).
 
     ``use_posterior=False`` switches to the plug-in probability — the
     estimator the paper argues against — for ablation studies.
     """
-    total = table.grand_total
+    if totals is None:
+        totals = table.node_totals()
+    total = totals.grand_total
     if use_posterior:
         if posterior is None:
-            posterior = posterior_probability(table)
+            posterior = posterior_probability(table, totals)
         probability = posterior.mean
     else:
         probability = table.weight / total
@@ -42,29 +45,38 @@ def edge_weight_variance(table: EdgeTable,
 
 def transformed_lift_variance(table: EdgeTable,
                               posterior: Optional[PosteriorResult] = None,
-                              use_posterior: bool = True) -> np.ndarray:
+                              use_posterior: bool = True,
+                              totals: Optional[NodeTotals] = None
+                              ) -> np.ndarray:
     """``V[c_ij]``: the variance of the symmetric lift score.
 
     Rows with degenerate marginals (infinite κ) get zero variance; their
     score is pinned at the boundary and they are never selected by the
-    δ filter anyway.
+    δ filter anyway. The delta-method factor is evaluated only where κ
+    is finite, so a zero-weight row (``inf * 0``) raises no warning.
     """
-    kappa_values = kappa(table)
-    derivative = kappa_derivative(table)
+    if totals is None:
+        totals = table.node_totals()
+    kappa_values = kappa(table, totals)
+    derivative = kappa_derivative(table, totals)
     weight_variance = edge_weight_variance(table, posterior=posterior,
-                                           use_posterior=use_posterior)
+                                           use_posterior=use_posterior,
+                                           totals=totals)
     finite = np.isfinite(kappa_values)
-    numerator = 2.0 * (kappa_values + table.weight * derivative)
-    denominator = (kappa_values * table.weight + 1.0) ** 2
+    kappa_values = kappa_values[finite]
+    weight = table.weight[finite]
     factor = np.zeros(table.m, dtype=np.float64)
-    factor[finite] = numerator[finite] / denominator[finite]
+    factor[finite] = (2.0 * (kappa_values + weight * derivative[finite])
+                      / (kappa_values * weight + 1.0) ** 2)
     return weight_variance * factor ** 2
 
 
 def transformed_lift_sdev(table: EdgeTable,
                           posterior: Optional[PosteriorResult] = None,
-                          use_posterior: bool = True) -> np.ndarray:
+                          use_posterior: bool = True,
+                          totals: Optional[NodeTotals] = None) -> np.ndarray:
     """Standard deviation of the transformed lift."""
     variance = transformed_lift_variance(table, posterior=posterior,
-                                         use_posterior=use_posterior)
+                                         use_posterior=use_posterior,
+                                         totals=totals)
     return np.sqrt(np.clip(variance, 0.0, None))

@@ -2,7 +2,7 @@
 
 from .components import (component_sizes, connected_components,
                          giant_component_mask, is_connected)
-from .edge_table import EdgeTable, coalesce_edges
+from .edge_table import EdgeTable, NodeTotals, coalesce_edges
 from .graph import Graph
 from .ingest import (EdgeTableBuilder, detect_format, read_edge_npz,
                      read_edges, write_edge_npz, write_edges)
@@ -26,6 +26,7 @@ __all__ = [
     "EdgeTable",
     "EdgeTableBuilder",
     "Graph",
+    "NodeTotals",
     "ShortestPathEngine",
     "ShortestPathForest",
     "Subgraph",

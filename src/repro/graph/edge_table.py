@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +27,26 @@ import numpy as np
 from ..util.validation import as_float_array, as_index_array, require
 
 EdgeKey = Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class NodeTotals:
+    """Node marginals of a scoring table: strengths, degrees and ``N..``.
+
+    ``out_strength`` and ``in_strength`` are the paper's ``N_i.`` and
+    ``N_.j``; ``grand_total`` is ``N..``. Per-edge scorers read node
+    marginals only from this value, so a table's own totals
+    (:meth:`EdgeTable.node_totals`), a stream's pass-1 totals and a
+    multilayer coupled null all feed the same kernel. Undirected
+    totals share one strength array and one degree array between the
+    out and in fields.
+    """
+
+    out_strength: np.ndarray
+    in_strength: np.ndarray
+    out_degree: np.ndarray
+    in_degree: np.ndarray
+    grand_total: float
 
 
 class EdgeTable:
@@ -305,6 +326,17 @@ class EdgeTable:
         counts += np.bincount(self.dst[non_loop], minlength=self.n_nodes)
         counts += np.bincount(self.src[~non_loop], minlength=self.n_nodes)
         return counts
+
+    def node_totals(self) -> NodeTotals:
+        """This table's :class:`NodeTotals`, each marginal computed once."""
+        if self.directed:
+            return NodeTotals(self.out_strength(), self.in_strength(),
+                              self.out_degree(), self.in_degree(),
+                              self.grand_total)
+        strength = self._undirected_strength()
+        degree = self._undirected_degree()
+        return NodeTotals(strength, strength, degree, degree,
+                          self.grand_total)
 
     def isolates(self) -> np.ndarray:
         """Indices of nodes with no incident edges."""

@@ -44,6 +44,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..graph.edge_table import NodeTotals
 from ..graph.ingest import detect_format, stream_csv_chunks
 from ..obs.trace import span
 from ..pipeline.fingerprint import _SCHEMA_VERSION, canonical_json
@@ -126,16 +127,16 @@ class CanonicalStream:
 
     Produced by :func:`open_stream`; owns a temporary directory with
     the canonical ``src``/``dst``/``weight`` column files (raw int64 /
-    int64 / float64) and exposes the node-level aggregates of the
-    *loop-free* scoring table plus the full-table summary. Temporary
-    files are removed when the object is garbage-collected or
-    :meth:`close` is called.
+    int64 / float64) and exposes ``totals``, the
+    :class:`~repro.graph.edge_table.NodeTotals` of the *loop-free*
+    scoring table, plus the full-table summary. Temporary files are
+    removed when the object is garbage-collected or :meth:`close` is
+    called.
     """
 
     def __init__(self, workdir: Path, directed: bool, n_nodes: int,
                  labels: Optional[Tuple[str, ...]], m: int,
-                 nonloop_m: int, table_fp: str, grand_total: float,
-                 total_weight: float, strengths, degrees,
+                 nonloop_m: int, table_fp: str, totals: NodeTotals,
                  non_isolated: int, block_rows: int):
         self.workdir = Path(workdir)
         self.directed = bool(directed)
@@ -144,10 +145,7 @@ class CanonicalStream:
         self.m = int(m)
         self.nonloop_m = int(nonloop_m)
         self.table_fp = table_fp
-        self.grand_total = float(grand_total)
-        self.total_weight = float(total_weight)
-        self.out_strength, self.in_strength, self.strength = strengths
-        self.out_degree, self.in_degree, self.degree = degrees
+        self.totals = totals
         self.block_rows = int(block_rows)
         self.summary = TableSummary(n_nodes, m, nonloop_m, directed,
                                     labels, non_isolated)
@@ -417,29 +415,22 @@ def _merge_and_finish(workdir: Path, writer: RunWriter, directed: bool,
 
     total = pairwise_file_sum(workdir / "wnl.bin", canonical.nonloop_m)
     if directed:
-        grand_total = total
-        out_strength = canonical.out_w
-        in_strength = canonical.in_w
-        strength = canonical.out_w + canonical.in_w
-        out_degree = canonical.out_d
-        in_degree = canonical.in_d
-        degree = canonical.out_d + canonical.in_d
+        totals = NodeTotals(canonical.out_w, canonical.in_w,
+                            canonical.out_d, canonical.in_d, total)
     else:
-        # _undirected_strength on the loop-free table: out + in +
-        # (empty) loop part, combined exactly in that order.
-        grand_total = 2.0 * (total - 0.0) + 0.0
+        # EdgeTable.node_totals on the loop-free table, combined in
+        # exactly its order: strength is out + in + (empty) loop part,
+        # and N.. is 2 * (total - loop total) + loop total.
         strength = ((canonical.out_w + canonical.in_w)
                     + np.zeros(n_nodes, dtype=np.float64))
-        out_strength = in_strength = strength
         degree = canonical.out_d + canonical.in_d
-        out_degree = in_degree = degree
+        totals = NodeTotals(strength, strength, degree, degree,
+                            2.0 * (total - 0.0) + 0.0)
 
     table_fp = _fingerprint_columns(workdir, n_nodes, directed, labels)
     return CanonicalStream(
         workdir, directed, n_nodes, labels, canonical.m,
-        canonical.nonloop_m, table_fp, grand_total, total,
-        (out_strength, in_strength, strength),
-        (out_degree, in_degree, degree),
+        canonical.nonloop_m, table_fp, totals,
         int(np.count_nonzero(canonical.touched)), block_rows)
 
 

@@ -1,13 +1,13 @@
 """Pass 2 of the out-of-core pipeline: score blocks, keep survivors.
 
-Every streamable score (NC, NCp, disparity, naive) is a *per-edge*
-function of the pass-1 node aggregates: given strengths, degrees and
-the grand total, row ``i``'s score never looks at any other row. That
-is exactly what :class:`_StreamBlock` exploits — one canonical
-loop-free block masquerades as the scoring table (its per-edge columns
-are the block's, its node-level marginals are the stream's), so the
-unchanged in-memory scoring code evaluates on the block and produces
-bit for bit the matching slice of the full-table score array.
+Every streamable method (NC, NCp, disparity, naive) scores through a
+per-edge kernel, ``score_edges(edges, totals)``: row ``i``'s score
+reads only row ``i`` and the node marginals in ``totals``. The
+in-memory ``score`` runs that kernel once over the whole loop-free
+table with the table's own :class:`~repro.graph.edge_table.NodeTotals`;
+pass 2 runs it on each loop-free canonical block with the stream's
+pass-1 totals — the same marginals — so every block yields bit for bit
+the matching slice of the full-table score array.
 
 Extraction then runs on the fly:
 
@@ -17,8 +17,9 @@ Extraction then runs on the fly:
   total order ``(-score, -weight, row)`` — the same lexsort key
   :meth:`EdgeTable.top_k_by` uses, so periodic truncation of the
   candidate buffer cannot change the final selection;
-* NC's δ rule ranks by ``score - δ·sdev`` per block, mirroring
-  :meth:`NoiseCorrectedBackbone.extract_from_scores`.
+* the method's own budgets rank by :meth:`BackboneMethod.rank_values`
+  per block (NC's ``score - δ·sdev``), mirroring its
+  ``extract_from_scores``.
 
 Memory stays O(nodes + block + backbone): only survivors accumulate.
 
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backbones.base import BackboneMethod
+from ..backbones.base import BackboneMethod, require_edges
 from ..backbones.disparity import DisparityFilter
 from ..backbones.naive import NaiveThreshold
 from ..core.noise_corrected import (NoiseCorrectedBackbone,
@@ -67,80 +68,16 @@ def supports_streaming(method: BackboneMethod) -> bool:
     return type(method) in STREAMABLE_METHODS
 
 
-class _StreamBlock(EdgeTable):
-    """One loop-free canonical block posing as the full scoring table.
-
-    Node-level queries answer from the stream's pass-1 aggregates —
-    which are exactly the marginals of ``prepare_table``'s loop-free
-    table — while per-edge columns are the block's rows.
-    """
-
-    __slots__ = ("_stream",)
-
-    def __init__(self, stream: CanonicalStream, src, dst, weight):
-        EdgeTable.__init__(self, src, dst, weight,
-                           n_nodes=stream.n_nodes,
-                           directed=stream.directed, coalesce=False)
-        self._stream = stream
-
-    def without_self_loops(self) -> "EdgeTable":
-        return self  # canonical scoring blocks are loop-free
-
-    def out_strength(self) -> np.ndarray:
-        return self._stream.out_strength
-
-    def in_strength(self) -> np.ndarray:
-        return self._stream.in_strength
-
-    def strength(self) -> np.ndarray:
-        return self._stream.strength
-
-    def out_degree(self) -> np.ndarray:
-        return self._stream.out_degree
-
-    def in_degree(self) -> np.ndarray:
-        return self._stream.in_degree
-
-    def degree(self) -> np.ndarray:
-        return self._stream.degree
-
-    @property
-    def grand_total(self) -> float:
-        return self._stream.grand_total
-
-    @property
-    def total_weight(self) -> float:
-        return self._stream.total_weight
-
-
-class _PrepareProxy:
-    """Stand-in for the full table at the ``prepare_table`` gate.
-
-    ``prepare_table`` reads exactly ``table.m`` (the non-empty check
-    counts *all* rows, loops included) and ``without_self_loops()``;
-    handing it the stream's full row count and the block keeps the
-    empty-network diagnostics identical to the in-memory path.
-    """
-
-    __slots__ = ("m", "_block")
-
-    def __init__(self, m: int, block: _StreamBlock):
-        self.m = m
-        self._block = block
-
-    def without_self_loops(self) -> _StreamBlock:
-        return self._block
-
-
 # ----------------------------------------------------------------------
 # Budget resolution (mirrors serve._apply_filter + extract_from_scores)
 # ----------------------------------------------------------------------
 
 def _job_mode(method: BackboneMethod, budget) -> Tuple[bool, str, float]:
-    """Flatten the filter phase into ``(adjusted, kind, value)``.
+    """Flatten the filter phase into ``(by_method, kind, value)``.
 
-    ``adjusted`` selects NC's ``score - δ·sdev`` ranking; ``kind`` is
-    one of ``threshold`` / ``share`` / ``n_edges``. Raises exactly the
+    ``by_method`` ranks by ``method.rank_values`` (the method's own
+    budgets) instead of the raw score; ``kind`` is one of
+    ``threshold`` / ``share`` / ``n_edges``. Raises exactly the
     diagnostics the in-memory filter phase raises for bad budgets.
     """
     if budget is None or budget.rank == "method" \
@@ -162,12 +99,11 @@ def _method_mode(method: BackboneMethod, kwargs) -> Tuple[bool, str, float]:
         kwargs.get("n_edges"))
     if method.parameter_free:
         return False, "threshold", 0.0
-    adjusted = type(method) is NoiseCorrectedBackbone
     if threshold is not None:
-        return adjusted, "threshold", float(threshold)
+        return True, "threshold", float(threshold)
     if share is not None:
-        return adjusted, "share", float(share)
-    return adjusted, "n_edges", int(n_edges)
+        return True, "share", float(share)
+    return True, "n_edges", int(n_edges)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +117,7 @@ class _ThresholdSelector:
         self.threshold = float(threshold)
         self._parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def feed(self, values: np.ndarray, block: _StreamBlock,
+    def feed(self, values: np.ndarray, block: EdgeTable,
              nl_offset: int) -> None:
         mask = values > self.threshold
         if np.any(mask):
@@ -222,7 +158,7 @@ class _TopKSelector:
         self._count = 0
         self._floor: Optional[float] = None
 
-    def feed(self, values: np.ndarray, block: _StreamBlock,
+    def feed(self, values: np.ndarray, block: EdgeTable,
              nl_offset: int) -> None:
         if self.k == 0:
             return
@@ -332,33 +268,38 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
         rep.setdefault(key, method)
         groups.setdefault(key, [])
         try:
-            adjusted, kind, value = _job_mode(method, budget)
+            by_method, kind, value = _job_mode(method, budget)
             selector = _make_selector(kind, value, stream.nonloop_m)
         except Exception as error:
             resolve_errors[job_id] = error
             continue
-        groups[key].append((job_id, method, adjusted, selector))
+        groups[key].append((job_id, method, by_method, selector))
 
     failed: Dict[str, Exception] = {}
+    for key in rep:
+        try:
+            require_edges(stream.m)  # score()'s prepare_table check
+        except ValueError as error:
+            failed[key] = error
     job_errors: Dict[object, Exception] = {}
     with span("stream.pass2", keys=len(rep), jobs=len(jobs)):
         for src, dst, weight, nl_offset in _scoring_blocks(stream):
-            block = _StreamBlock(stream, src, dst, weight)
-            proxy = _PrepareProxy(stream.m, block)
+            block = EdgeTable(src, dst, weight, n_nodes=stream.n_nodes,
+                              directed=stream.directed, coalesce=False)
             for key, method in rep.items():
                 if key in failed:
                     continue
                 try:
-                    scored = method.score(proxy)
+                    scored = method.score_edges(block, stream.totals)
                 except Exception as error:
                     failed[key] = error
                     continue
-                for job_id, job_method, adjusted, selector in groups[key]:
+                for job_id, job_method, by_method, selector in groups[key]:
                     if job_id in job_errors:
                         continue
                     try:
-                        selector.feed(_job_values(scored, job_method,
-                                                  adjusted),
+                        selector.feed(job_method.rank_values(scored)
+                                      if by_method else scored.score,
                                       block, nl_offset)
                     except Exception as error:
                         job_errors[job_id] = error
@@ -375,7 +316,7 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
     for key, group in groups.items():
         if key in failed:
             continue
-        for job_id, method, adjusted, selector in group:
+        for job_id, _method, _by_method, selector in group:
             if job_id in errors:
                 continue
             try:
@@ -388,8 +329,8 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
 
 def _scoring_blocks(stream: CanonicalStream):
     """The stream's loop-free blocks — or one empty block when there
-    are none, so scoring (and its diagnostics, e.g. NC on an empty or
-    loops-only network) runs exactly once as it would in memory."""
+    are none, so scoring (and its diagnostics, e.g. NC on a loops-only
+    network) runs exactly once as it would in memory."""
     empty = True
     for item in stream.iter_scoring_blocks():
         empty = False
@@ -397,13 +338,3 @@ def _scoring_blocks(stream: CanonicalStream):
     if empty:
         yield (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                np.empty(0, dtype=np.float64), 0)
-
-
-def _job_values(scored, method: BackboneMethod,
-                adjusted: bool) -> np.ndarray:
-    if not adjusted:
-        return scored.score
-    if scored.sdev is None:
-        raise ValueError("NC extraction needs per-edge sdev; these "
-                         "scores carry none")
-    return scored.score - method.delta * scored.sdev

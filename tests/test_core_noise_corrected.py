@@ -52,6 +52,20 @@ class TestScoring:
         assert lookup[(1, 2)] > lookup[(0, 1)]
         assert lookup[(1, 2)] > lookup[(0, 3)]
 
+    def test_undirected_strength_computed_once(self, monkeypatch):
+        # Node marginals are computed once per score, not once per
+        # lift / posterior / kappa / kappa-derivative call.
+        calls = []
+        original = EdgeTable._undirected_strength
+
+        def spy(table):
+            calls.append(table.m)
+            return original(table)
+
+        monkeypatch.setattr(EdgeTable, "_undirected_strength", spy)
+        NoiseCorrectedBackbone().score(toy_hub_table())
+        assert len(calls) <= 1
+
     def test_undirected_scores_match_doubled_directed(self):
         undirected = toy_hub_table()
         doubled = undirected.as_directed_doubled()

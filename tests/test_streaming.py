@@ -11,9 +11,11 @@ streaming conversion, the ``"auto"`` threshold knob, warm-cache
 sharing and the CLI surface.
 """
 
+import dataclasses
 import gzip
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from repro.backbones.registry import get_method
 from repro.cli import main
 from repro.flow import StreamingUnsupported, flow, serve
-from repro.graph.edge_table import EdgeTable
+from repro.graph.edge_table import EdgeTable, NodeTotals
 from repro.graph.ingest import read_edges, write_edges
 from repro.pipeline import ScoreStore
 from repro.pipeline.fingerprint import fingerprint_table
@@ -37,9 +39,15 @@ STREAMABLE = ("NC", "NCp", "DF", "NT")
 WHOLE_GRAPH = ("MST", "DS", "HSS", "KC")
 
 
+#: Positive edge weights: exact integers, plus non-integers whose sums
+#: depend on summation order (the order node totals must keep).
+WEIGHTS = st.one_of(st.integers(1, 40), st.floats(0.01, 40.0))
+
+
 def write_csv(path, rows, labels=False):
-    """An edge csv (no header) from (src, dst, weight) int triples."""
+    """An edge csv with a header row from (src, dst, weight) triples."""
     with open(path, "w") as handle:
+        handle.write("src,dst,weight\n")
         for s, d, w in rows:
             if labels:
                 handle.write(f"n{s},n{d},{w}\n")
@@ -104,11 +112,11 @@ class TestStreamBitIdentity:
         directed = data.draw(st.booleans(), label="directed")
         labels = data.draw(st.booleans(), label="labels")
         # Small node universe + many rows = duplicates straddling
-        # blocks; weights are exact in float64 and positive.
+        # blocks; weights are positive and round-trip the csv exactly.
         rows = data.draw(st.lists(
             st.tuples(st.integers(0, n_nodes - 1),
                       st.integers(0, n_nodes - 1),
-                      st.integers(1, 40)),
+                      WEIGHTS),
             min_size=n_rows, max_size=n_rows), label="rows")
         block_rows = data.draw(st.integers(1, 9), label="block_rows")
         run_rows = data.draw(st.integers(2, 24), label="run_rows")
@@ -151,32 +159,45 @@ class TestStreamBitIdentity:
         rows = data.draw(st.lists(
             st.tuples(st.integers(0, n_nodes - 1),
                       st.integers(0, n_nodes - 1),
-                      st.integers(1, 30)),
+                      WEIGHTS),
             min_size=0, max_size=40))
-        directed = data.draw(st.booleans())
         block_rows = data.draw(st.integers(1, 7))
         run_rows = data.draw(st.integers(2, 16))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_csv(Path(tmp) / "edges.csv", rows)
-            if not rows:
-                with open(path, "w") as handle:
-                    handle.write("src,dst,weight\n")  # header only
-            stream = open_stream(path, directed=directed,
-                                 block_rows=block_rows,
-                                 run_rows=run_rows)
-            try:
-                table = read_edges(path, directed=directed)
-                prepared = table.without_self_loops()
-                assert stream.table_fp == fingerprint_table(table)
-                assert stream.m == table.m
-                assert stream.nonloop_m == prepared.m
-                np.testing.assert_array_equal(stream.strength,
-                                              prepared.strength())
-                np.testing.assert_array_equal(stream.degree,
-                                              prepared.degree())
-                assert stream.grand_total == prepared.grand_total
-            finally:
-                stream.close()
+            for directed in (False, True):
+                stream = open_stream(path, directed=directed,
+                                     block_rows=block_rows,
+                                     run_rows=run_rows)
+                try:
+                    table = read_edges(path, directed=directed)
+                    prepared = table.without_self_loops()
+                    assert stream.table_fp == fingerprint_table(table)
+                    assert stream.m == table.m
+                    assert stream.nonloop_m == prepared.m
+                    want = prepared.node_totals()
+                    for field in dataclasses.fields(NodeTotals):
+                        got = np.asarray(getattr(stream.totals,
+                                                 field.name))
+                        expected = np.asarray(getattr(want, field.name))
+                        assert got.tobytes() == expected.tobytes(), \
+                            field.name
+                finally:
+                    stream.close()
+
+    def test_zero_weight_edges_raise_no_warning(self, tmp_path):
+        # A zero-weight row whose source has no other out-weight has
+        # kappa = inf; its sdev is 0 and neither path may warn.
+        rows = [(0, 1, 0.0), (1, 2, 3.0), (2, 0, 2.0)]
+        path = write_csv(tmp_path / "zero.csv", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scored = get_method("NC").score(
+                EdgeTable(*zip(*rows), directed=True))
+            mem, streamed = run_pair(path, True, "NC",
+                                     budget={"share": 1.0})
+        assert scored.sdev[0] == 0.0
+        assert_same_backbone(streamed.backbone, mem.backbone)
 
     def test_duplicates_straddling_every_block_size(self, tmp_path):
         # One heavily duplicated pair repeated across the whole file:
