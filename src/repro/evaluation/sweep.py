@@ -41,7 +41,7 @@ def share_sweep(method: BackboneMethod, table: EdgeTable,
     """
     if method.parameter_free:
         backbone = method.extract(table)
-        share = backbone.m / max(table.without_self_loops().m, 1)
+        share = backbone.m / max(table.nonloop_m, 1)
         return SweepSeries(code=method.code, shares=[share],
                            values=[metric(backbone)], parameter_free=True)
     scored = method.score(table)

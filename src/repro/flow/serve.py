@@ -135,7 +135,7 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
                 else:
                     base_m = nonloop_m.get(id(item.table))
                     if base_m is None:
-                        base_m = item.table.without_self_loops().m
+                        base_m = item.table.nonloop_m
                         nonloop_m[id(item.table)] = base_m
                 kept = backbone.m / max(base_m, 1)
                 values = tuple(metric(backbone)
@@ -298,9 +298,11 @@ def _shared_rankings(compiled: Sequence[CompiledPlan], scored_by_key,
     """One ranking pass per scored table for raw-share plan groups.
 
     Sweep-compiled batches put many ``rank="score"`` share budgets on
-    one scored table; ranking once via ``top_share_many`` is
-    bit-identical to per-plan ``top_share`` (the PR 2 contract) and
-    kills the per-plan lexsort.
+    one scored table. ``top_share_many`` ranks them with one full sort,
+    bit-identical to per-plan ``top_share`` (which selects with a
+    partition instead). The shared sort stays because neither side wins
+    everywhere: at 1M rows per-plan partitions are faster for a few
+    shares and slower for many (see ``top_share_many``).
     """
     groups: Dict[str, List[int]] = {}
     for index, item in enumerate(compiled):

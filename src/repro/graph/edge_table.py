@@ -211,6 +211,14 @@ class EdgeTable:
         """Number of stored edges (rows)."""
         return len(self.src)
 
+    @property
+    def nonloop_m(self) -> int:
+        """Number of rows that are not self-loops.
+
+        Equals ``without_self_loops().m`` without building that table.
+        """
+        return int(np.count_nonzero(self.src != self.dst))
+
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return (f"EdgeTable({kind}, n_nodes={self.n_nodes}, "
@@ -385,18 +393,32 @@ class EdgeTable:
         return self.subset(order)
 
     def top_k_by(self, values: np.ndarray, k: int) -> "EdgeTable":
-        """Return the ``k`` rows with the largest ``values``.
+        """Return the ``k`` best rows under ``(-value, -weight, row)``.
 
-        Ties are broken deterministically by weight and then row order, so
-        repeated runs keep the same edges (needed for edge-budget matched
-        comparisons across backbone methods).
+        Rows rank by larger ``values`` first, then by larger weight,
+        then by smaller row index; ``values`` must be finite, and
+        ``0.0`` ties ``-0.0`` (see :func:`top_k_rows`). The order is
+        total, so edge-budget matched comparisons across backbone
+        methods keep the same edges on every run. Kept rows stay in
+        table order.
+
+        Rows 0-2 tie on score below; weight drops row 0, then row
+        index puts row 1 ahead of row 2. Row 3's large weight cannot
+        lift its low score:
+
+        >>> table = EdgeTable([0, 1, 2, 3], [1, 2, 3, 0],
+        ...                   [1.0, 2.0, 2.0, 5.0])
+        >>> scores = [0.9, 0.9, 0.9, 0.1]
+        >>> table.top_k_by(scores, 2).src.tolist()
+        [1, 2]
+        >>> table.top_k_by(scores, 1).src.tolist()
+        [1]
         """
         values = as_float_array(values, "values")
         require(len(values) == self.m, "values must have one entry per edge")
         k = int(k)
         require(0 <= k <= self.m, f"k={k} out of range [0, {self.m}]")
-        order = np.lexsort((np.arange(self.m), -self.weight, -values))
-        return self.subset(np.sort(order[:k]))
+        return self.subset(top_k_rows(values, self.weight, k))
 
     def symmetrized(self, mode: str = "sum") -> "EdgeTable":
         """Collapse a directed table into an undirected one.
@@ -492,6 +514,44 @@ class EdgeTable:
         return sparse.csr_matrix(
             (doubled.weight, (doubled.src, doubled.dst)),
             shape=(self.n_nodes, self.n_nodes))
+
+
+def top_k_rows(values: np.ndarray, weight: np.ndarray,
+               k: int) -> np.ndarray:
+    """Ascending positions of the ``k`` best rows under
+    ``(-value, -weight, row)``.
+
+    The result equals
+    ``np.sort(np.lexsort((np.arange(m), -weight, -values))[:k])``
+    exactly: NaN ranks last (in either column) and ``0.0`` ties
+    ``-0.0``. A ``k`` of ``m`` or more keeps every row. Instead of
+    sorting all ``m`` rows, one ``np.partition`` finds the ``k``-th
+    value; rows strictly better are kept, and only the rows tying
+    that value are sorted by ``(-weight, row)`` to fill the places
+    left.
+    """
+    m = len(values)
+    if k >= m:
+        return np.arange(m)
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    negated = -values
+    negated.partition(k - 1)
+    bound = -negated[k - 1]
+    del negated
+    if np.isnan(bound):
+        tie = np.isnan(values)
+        keep = ~tie
+    else:
+        # Negation is exact, so these compare like the lexsort key.
+        keep = values > bound
+        tie = values == bound
+    ties = np.flatnonzero(tie)
+    places = k - int(np.count_nonzero(keep))
+    if len(ties) > places:
+        ties = ties[np.lexsort((ties, -weight[ties]))[:places]]
+    keep[ties] = True
+    return np.flatnonzero(keep)
 
 
 def coalesce_edges(src: np.ndarray, dst: np.ndarray, weight: np.ndarray

@@ -15,7 +15,7 @@ def density(table: EdgeTable) -> float:
     n = table.n_nodes
     if n < 2:
         return 0.0
-    present = len(table.without_self_loops())
+    present = table.nonloop_m
     possible = n * (n - 1)
     if not table.directed:
         possible //= 2

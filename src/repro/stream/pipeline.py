@@ -156,19 +156,18 @@ class CanonicalStream:
         self._finalizer()
 
     def iter_scoring_blocks(self) -> Iterator[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-        """Yield loop-free ``(src, dst, weight, nl_offset)`` blocks.
+            Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield loop-free ``(src, dst, weight)`` blocks in row order.
 
-        ``nl_offset`` is the global loop-free row index of the block's
-        first row — the same row numbering the in-memory scoring table
-        (``prepare_table``'s ``without_self_loops()`` output) uses.
+        Concatenated, the blocks are the in-memory scoring table
+        (``prepare_table``'s ``without_self_loops()`` output) row for
+        row.
         """
         paths = [self.workdir / name
                  for name in ("src.bin", "dst.bin", "weight.bin")]
         with open(paths[0], "rb") as fs, open(paths[1], "rb") as fd, \
                 open(paths[2], "rb") as fw:
             done = 0
-            nl_offset = 0
             while done < self.m:
                 rows = min(self.block_rows, self.m - done)
                 src = np.fromfile(fs, dtype=np.int64, count=rows)
@@ -177,11 +176,9 @@ class CanonicalStream:
                 non_loop = src != dst
                 kept = int(np.count_nonzero(non_loop))
                 if kept == rows:
-                    yield src, dst, weight, nl_offset
+                    yield src, dst, weight
                 elif kept:
-                    yield (src[non_loop], dst[non_loop],
-                           weight[non_loop], nl_offset)
-                nl_offset += kept
+                    yield src[non_loop], dst[non_loop], weight[non_loop]
                 done += rows
 
     def __repr__(self) -> str:

@@ -14,9 +14,11 @@ Extraction then runs on the fly:
 * threshold budgets keep each block's strict survivors
   (``score > t``, exactly :meth:`ScoredEdges.filter`);
 * share / edge-count budgets maintain a running top-``k`` under the
-  total order ``(-score, -weight, row)`` — the same lexsort key
-  :meth:`EdgeTable.top_k_by` uses, so periodic truncation of the
-  candidate buffer cannot change the final selection;
+  total order ``(-score, -weight, row)`` through
+  :func:`~repro.graph.edge_table.top_k_rows`, the selection
+  :meth:`EdgeTable.top_k_by` makes. Candidates are buffered in global
+  row order, so buffer position stands in for the row and periodic
+  truncation of the buffer cannot change the final selection;
 * the method's own budgets rank by :meth:`BackboneMethod.rank_values`
   per block (NC's ``score - δ·sdev``), mirroring its
   ``extract_from_scores``.
@@ -34,12 +36,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backbones.base import BackboneMethod, require_edges
+from ..backbones.base import BackboneMethod, require_edges, share_to_k
 from ..backbones.disparity import DisparityFilter
 from ..backbones.naive import NaiveThreshold
 from ..core.noise_corrected import (NoiseCorrectedBackbone,
                                     NoiseCorrectedPValue)
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, top_k_rows
 from ..obs.trace import span
 from ..util.validation import require
 from .pipeline import CanonicalStream
@@ -117,8 +119,7 @@ class _ThresholdSelector:
         self.threshold = float(threshold)
         self._parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def feed(self, values: np.ndarray, block: EdgeTable,
-             nl_offset: int) -> None:
+    def feed(self, values: np.ndarray, block: EdgeTable) -> None:
         mask = values > self.threshold
         if np.any(mask):
             self._parts.append((block.src[mask], block.dst[mask],
@@ -131,48 +132,47 @@ class _ThresholdSelector:
 class _TopKSelector:
     """``EdgeTable.top_k_by`` as a running selection.
 
-    Candidates are ranked under the total order
-    ``(-value, -weight, global row)`` — ``top_k_by``'s exact lexsort
-    key, with the block's global loop-free row index standing in for
-    ``np.arange(m)``. The order is total, so truncating the candidate
-    buffer to the best ``k`` after any prefix of blocks keeps exactly
-    the rows the full sort would keep; once ``k`` candidates are held,
-    rows scoring strictly below the ``k``-th candidate's value are
-    strictly worse under the order and are dropped at feed time
-    (``~(values < floor)`` so NaN scores — sorted last by both paths —
-    are never dropped early). Buffer memory is O(k + block); the final
-    output is re-sorted by row index, matching
-    ``subset(np.sort(order[:k]))``.
+    Blocks arrive in global loop-free row order and every truncation
+    keeps its survivors in buffer order (:func:`top_k_rows` returns
+    ascending positions), so the candidate buffer is always in global
+    row order: buffer position ranks exactly like the row index of the
+    in-memory table. The order ``(-value, -weight, row)`` is total, so
+    truncating the buffer to the best ``k`` after any prefix of blocks
+    keeps exactly the rows one selection over all rows would keep.
+    Once ``k`` candidates are held, the floor is the smallest kept
+    value (NaN when a kept value is NaN); rows scoring strictly below
+    it are strictly worse than every kept row and are dropped at feed
+    time (``~(values < floor)``, so a NaN floor drops nothing). Buffer
+    memory is O(k + block), and the final selection is already in row
+    order.
     """
 
-    #: Column layout of the candidate buffer; ``values``/``weight``/
-    #: ``rows`` double as the ranking key.
-    _VALUES, _ROWS, _SRC, _DST, _WEIGHT = range(5)
+    #: Column layout of the candidate buffer; ``values``/``weight``
+    #: double as the ranking key.
+    _VALUES, _SRC, _DST, _WEIGHT = range(4)
 
     def __init__(self, k: int, nonloop_m: int):
         k = int(k)
         require(0 <= k <= nonloop_m,
                 f"k={k} out of range [0, {nonloop_m}]")
         self.k = k
-        self._columns: List[List[np.ndarray]] = [[] for _ in range(5)]
+        self._columns: List[List[np.ndarray]] = [[] for _ in range(4)]
         self._count = 0
         self._floor: Optional[float] = None
 
-    def feed(self, values: np.ndarray, block: EdgeTable,
-             nl_offset: int) -> None:
+    def feed(self, values: np.ndarray, block: EdgeTable) -> None:
         if self.k == 0:
             return
-        rows = np.arange(nl_offset, nl_offset + block.m, dtype=np.int64)
         src, dst, weight = block.src, block.dst, block.weight
         if self._floor is not None:
             keep = ~(values < self._floor)
             if not keep.all():
-                values, rows = values[keep], rows[keep]
+                values = values[keep]
                 src, dst, weight = src[keep], dst[keep], weight[keep]
         if not len(values):
             return
         for column, array in zip(self._columns,
-                                 (values, rows, src, dst, weight)):
+                                 (values, src, dst, weight)):
             column.append(array)
         self._count += len(values)
         if self._count > self.k + max(self.k, 1 << 18):
@@ -182,35 +182,23 @@ class _TopKSelector:
         column = self._columns[index]
         return column[0] if len(column) == 1 else np.concatenate(column)
 
-    def _order(self, values, rows, weight) -> np.ndarray:
-        return np.lexsort((rows, -weight, -values))[:self.k]
+    def _selection(self) -> np.ndarray:
+        return top_k_rows(self._gather(self._VALUES),
+                          self._gather(self._WEIGHT), self.k)
 
     def _truncate(self) -> None:
-        values = self._gather(self._VALUES)
-        rows = self._gather(self._ROWS)
-        weight = self._gather(self._WEIGHT)
-        order = self._order(values, rows, weight)
+        keep = self._selection()
         # Replace columns one at a time so each block's originals are
         # released before the next column concatenates.
-        for index, whole in ((self._VALUES, values), (self._ROWS, rows),
-                             (self._WEIGHT, weight)):
-            self._columns[index] = [whole[order]]
-        del values, rows, weight
-        for index in (self._SRC, self._DST):
-            self._columns[index] = [self._gather(index)[order]]
-        self._count = len(order)
-        if self._count == self.k:
-            kept = self._columns[self._VALUES][0]
-            self._floor = float(kept[-1])
+        for index in range(4):
+            self._columns[index] = [self._gather(index)[keep]]
+        self._count = len(keep)  # exactly k: truncation needs more
+        self._floor = float(self._columns[self._VALUES][0].min())
 
     def parts(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         if self.k == 0 or not self._count:
             return []
-        values = self._gather(self._VALUES)
-        rows = self._gather(self._ROWS)
-        weight = self._gather(self._WEIGHT)
-        order = self._order(values, rows, weight)
-        keep = order[np.argsort(rows[order], kind="stable")]
+        keep = self._selection()
         return [(self._gather(self._SRC)[keep],
                  self._gather(self._DST)[keep],
                  self._gather(self._WEIGHT)[keep])]
@@ -220,10 +208,7 @@ def _make_selector(kind: str, value: float, nonloop_m: int):
     if kind == "threshold":
         return _ThresholdSelector(value, nonloop_m)
     if kind == "share":
-        require(0.0 <= value <= 1.0,
-                f"share must be in [0, 1], got {value}")
-        return _TopKSelector(min(int(round(value * nonloop_m)),
-                                 nonloop_m), nonloop_m)
+        return _TopKSelector(share_to_k(value, nonloop_m), nonloop_m)
     return _TopKSelector(min(int(value), nonloop_m), nonloop_m)
 
 
@@ -283,7 +268,7 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
             failed[key] = error
     job_errors: Dict[object, Exception] = {}
     with span("stream.pass2", keys=len(rep), jobs=len(jobs)):
-        for src, dst, weight, nl_offset in _scoring_blocks(stream):
+        for src, dst, weight in _scoring_blocks(stream):
             block = EdgeTable(src, dst, weight, n_nodes=stream.n_nodes,
                               directed=stream.directed, coalesce=False)
             for key, method in rep.items():
@@ -300,7 +285,7 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
                     try:
                         selector.feed(job_method.rank_values(scored)
                                       if by_method else scored.score,
-                                      block, nl_offset)
+                                      block)
                     except Exception as error:
                         job_errors[job_id] = error
 
@@ -337,4 +322,4 @@ def _scoring_blocks(stream: CanonicalStream):
         yield item
     if empty:
         yield (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-               np.empty(0, dtype=np.float64), 0)
+               np.empty(0, dtype=np.float64))

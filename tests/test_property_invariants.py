@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from repro.backbones import (DisparityFilter, MaximumSpanningTree,
                              NaiveThreshold)
+from repro.backbones.base import ScoredEdges
 from repro.community import louvain, modularity
 from repro.core import (NoiseCorrectedBackbone, NoiseCorrectedPValue,
                         expected_weights, transformed_lift)
 from repro.evaluation import coverage
 from repro.graph import (EdgeTable, connected_components,
                          jaccard_edge_similarity)
+from repro.graph.edge_table import top_k_rows
 
 
 @st.composite
@@ -135,6 +137,103 @@ class TestBudgetInvariants:
                                           scored.score)
                 if (u, v) in kept_keys)
             assert kept_min >= dropped_max
+
+
+def lexsort_top_k(values, weight, k):
+    """Reference selection: ascending positions of the ``k`` best rows
+    under ``(-value, -weight, row)``, by one sort of every row."""
+    order = np.lexsort((np.arange(len(values)), -weight, -values))
+    return np.sort(order[:k])
+
+
+@st.composite
+def tied_rows(draw, finite=True):
+    """Tie-heavy ``(values, weight)`` columns of equal length.
+
+    Values come from at most 4 distinct floats that always include
+    ``0.0`` and ``-0.0`` (``finite=False`` adds infinities and NaN to
+    the pool); weights from at most 3 distinct non-negative floats.
+    """
+    pool = [1.0, -2.5, 3.0] + ([] if finite else [np.inf, np.nan])
+    palette = [0.0, -0.0] + draw(st.lists(st.sampled_from(pool),
+                                          max_size=2))
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                            min_size=1, max_size=3))
+    m = draw(st.integers(1, 24))
+    values = draw(st.lists(st.sampled_from(palette), min_size=m,
+                           max_size=m))
+    weight = draw(st.lists(st.sampled_from(weights), min_size=m,
+                           max_size=m))
+    return np.array(values), np.array(weight)
+
+
+def chain_table(weight):
+    """A table whose row ``i`` is the edge ``(i, i + 1)``: a kept
+    table's ``src`` column is its row positions."""
+    m = len(weight)
+    return EdgeTable(np.arange(m), np.arange(m) + 1, weight,
+                     coalesce=False)
+
+
+class TestTotalOrder:
+    """Every budgeted extraction keeps the ``(-value, -weight, row)``
+    top ``k``: the exact rows one full lexsort would keep."""
+
+    @given(tied_rows(finite=False))
+    @settings(max_examples=200, deadline=None)
+    def test_top_k_rows_matches_lexsort(self, rows):
+        values, weight = rows
+        for k in range(len(values) + 1):
+            got = top_k_rows(values, weight, k)
+            assert got.tolist() == lexsort_top_k(values, weight,
+                                                 k).tolist()
+
+    @given(tied_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_top_k_by_matches_lexsort(self, rows):
+        values, weight = rows
+        table = chain_table(weight)
+        for k in range(table.m + 1):
+            kept = table.top_k_by(values, k)
+            want = lexsort_top_k(values, weight, k)
+            assert kept.src.tolist() == want.tolist()
+            assert kept.weight.tobytes() == weight[want].tobytes()
+
+    @given(tied_rows(), st.lists(st.sampled_from([0.0, 0.5]),
+                                 min_size=24, max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_nc_budgets_match_lexsort(self, rows, sdevs):
+        values, weight = rows
+        m = len(values)
+        sdev = np.array(sdevs[:m])
+        scored = ScoredEdges(table=chain_table(weight), score=values,
+                             method="NC", sdev=sdev)
+        method = NoiseCorrectedBackbone(delta=1.64)
+        ranked = values - 1.64 * sdev
+        for k in range(m + 1):
+            want = lexsort_top_k(ranked, weight, k).tolist()
+            by_count = method.extract_from_scores(scored, n_edges=k)
+            assert by_count.src.tolist() == want
+            share = k / m
+            by_share = method.extract_from_scores(scored, share=share)
+            assert by_share.src.tolist() == lexsort_top_k(
+                ranked, weight, int(round(share * m))).tolist()
+
+    @given(tied_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_top_share_many_matches_top_share(self, rows):
+        values, weight = rows
+        m = len(values)
+        scored = ScoredEdges(table=chain_table(weight), score=values,
+                             method="NT")
+        shares = [k / m for k in range(m + 1)]
+        many = scored.top_share_many(shares)
+        for share, kept in zip(shares, many):
+            want = lexsort_top_k(values, weight, int(round(share * m)))
+            single = scored.top_share(share)
+            assert kept.src.tolist() == single.src.tolist() \
+                == want.tolist()
+            assert kept.weight.tobytes() == single.weight.tobytes()
 
 
 class TestStructuralInvariants:

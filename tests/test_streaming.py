@@ -17,6 +17,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.stream import (StreamingUnsupported as StreamPkgError,
                           open_stream, stream_convert, stream_extract,
                           supports_streaming)
 from repro.stream.merge import pairwise_file_sum
+from repro.stream.score import _TopKSelector
 
 STREAMABLE = ("NC", "NCp", "DF", "NT")
 WHOLE_GRAPH = ("MST", "DS", "HSS", "KC")
@@ -388,6 +390,47 @@ class TestStreamExtract:
             assert "empty network" in str(errors["j"])
         finally:
             stream.close()
+
+
+class TestTopKSelectorTruncation:
+    """Pass 2's running top-``k`` over enough rows to truncate its
+    candidate buffer (past ``k + 2**18`` buffered rows), with ties,
+    about 1% NaN values and ``-0.0`` beside ``0.0``."""
+
+    ROWS = 10 * (1 << 16)
+    BLOCK = 1 << 16
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        rng = np.random.default_rng(15)
+        values = rng.integers(-40, 160, self.ROWS) / 8.0
+        values[rng.random(self.ROWS) < 0.01] = np.nan
+        zeros = np.flatnonzero(values == 0.0)
+        values[zeros[::2]] = -0.0
+        weight = rng.integers(1, 4, self.ROWS) / 2.0
+        src = np.arange(self.ROWS)  # row i is the edge (i, i + 1)
+        return values, src, src + 1, weight
+
+    @pytest.mark.parametrize("k", [1, 4239, 300_000, ROWS - 1])
+    def test_matches_one_lexsort_over_all_rows(self, columns, k):
+        values, src, dst, weight = columns
+        selector = _TopKSelector(k, self.ROWS)
+        truncate = _TopKSelector._truncate
+        with mock.patch.object(_TopKSelector, "_truncate", autospec=True,
+                               side_effect=truncate) as spy:
+            for start in range(0, self.ROWS, self.BLOCK):
+                rows = slice(start, start + self.BLOCK)
+                block = EdgeTable(src[rows], dst[rows], weight[rows],
+                                  n_nodes=self.ROWS + 1, coalesce=False)
+                selector.feed(values[rows], block)
+        if k + (1 << 18) < self.ROWS:
+            assert spy.called
+        order = np.lexsort((src, -weight, -values))
+        want = np.sort(order[:k])
+        [(got_src, got_dst, got_weight)] = selector.parts()
+        assert got_src.tobytes() == src[want].tobytes()
+        assert got_dst.tobytes() == dst[want].tobytes()
+        assert got_weight.tobytes() == weight[want].tobytes()
 
 
 # ----------------------------------------------------------------------
