@@ -77,35 +77,15 @@ class ScoredEdges:
         """Edge budget equivalent to ``share`` of these edges.
 
         Every share-based filter (:meth:`top_share`,
-        :meth:`top_share_many`, :meth:`threshold_for_share`) derives its
-        ``k`` here, through the module-level :func:`share_to_k` that
-        streamed extraction uses too.
+        :meth:`threshold_for_share`) derives its ``k`` here, through the
+        module-level :func:`share_to_k` that streamed extraction uses
+        too.
         """
         return share_to_k(share, self.m)
 
     def top_share(self, share: float) -> EdgeTable:
         """Keep the top ``share`` fraction of edges by score."""
         return self.top_k(self.share_to_k(share))
-
-    def top_share_many(self, shares) -> list:
-        """Backbones at several shares, ranking the edges only once.
-
-        Output is bit-identical to ``[self.top_share(s) for s in shares]``
-        (same total order, same tie-breaking). One full ``lexsort`` is
-        shared instead of one :func:`~repro.graph.edge_table.top_k_rows`
-        selection per share. Neither wins everywhere: on 1M NC scores
-        (2-core Xeon VM) per-share selection took 0.11 s against the
-        sort's 0.4 s at 9 shares, but 1.7-1.8 s against 1.6-1.8 s at
-        100 shares, where copying the backbones dominates. The shared
-        sort stays until a sweep workload measures real sweeps.
-        """
-        order = np.lexsort((np.arange(self.m), -self.table.weight,
-                            -self.score))
-        backbones = []
-        for share in shares:
-            k = self.share_to_k(share)
-            backbones.append(self.table.subset(np.sort(order[:k])))
-        return backbones
 
     def threshold_for_share(self, share: float) -> float:
         """Score threshold approximating the ``share_to_k`` edge budget.

@@ -45,8 +45,7 @@ def share_sweep(method: BackboneMethod, table: EdgeTable,
         return SweepSeries(code=method.code, shares=[share],
                            values=[metric(backbone)], parameter_free=True)
     scored = method.score(table)
-    values = [metric(backbone)
-              for backbone in scored.top_share_many(shares)]
+    values = [metric(scored.top_share(share)) for share in shares]
     return SweepSeries(code=method.code, shares=list(shares),
                        values=values, parameter_free=False)
 

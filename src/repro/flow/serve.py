@@ -12,9 +12,7 @@ plans — many users, many deltas, many budgets, same sources — and it
    :mod:`repro.util.parallel`; workers reopen the store's backend
    spec, and ship their results back for the parent to adopt);
 3. applies each plan's filter and metrics serially — cheap compared
-   to scoring, and share-budget plans over one scored table share a
-   single ranking pass (``top_share_many``, bit-identical to
-   per-plan filtering by contract).
+   to scoring.
 
 Per-plan failures are *isolated*: any scoring, filtering or metric
 exception — the deterministic Sinkhorn non-convergence (recorded as a
@@ -109,7 +107,6 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
     scored_by_key, error_by_key = _score_batch(compiled, store, workers)
     stream_backbones, stream_errors = _serve_streams(
         compiled, scored_by_key, error_by_key)
-    shared = _shared_rankings(compiled, scored_by_key, error_by_key)
     results = []
     nonloop_m: Dict[int, int] = {}  # per shared table, computed once
     for index, item in enumerate(compiled):
@@ -124,9 +121,7 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
             continue
         try:
             with span("plan.extract", key=item.key[:16]):
-                backbone = shared.get(index)
-                if backbone is None:
-                    backbone = stream_backbones.get(index)
+                backbone = stream_backbones.get(index)
                 if backbone is None:
                     backbone = _apply_filter(item,
                                              scored_by_key[item.key])
@@ -292,33 +287,6 @@ def _serve_streams(compiled: Sequence[CompiledPlan], scored_by_key,
 # ----------------------------------------------------------------------
 # Filtering
 # ----------------------------------------------------------------------
-
-def _shared_rankings(compiled: Sequence[CompiledPlan], scored_by_key,
-                     error_by_key) -> Dict[int, EdgeTable]:
-    """One ranking pass per scored table for raw-share plan groups.
-
-    Sweep-compiled batches put many ``rank="score"`` share budgets on
-    one scored table. ``top_share_many`` ranks them with one full sort,
-    bit-identical to per-plan ``top_share`` (which selects with a
-    partition instead). The shared sort stays because neither side wins
-    everywhere: at 1M rows per-plan partitions are faster for a few
-    shares and slower for many (see ``top_share_many``).
-    """
-    groups: Dict[str, List[int]] = {}
-    for index, item in enumerate(compiled):
-        budget = item.budget
-        if (budget is not None and budget.rank == "score"
-                and budget.share is not None
-                and not item.method.parameter_free
-                and item.key in scored_by_key):
-            groups.setdefault(item.key, []).append(index)
-    shared: Dict[int, EdgeTable] = {}
-    for key, indexes in groups.items():
-        shares = [compiled[i].budget.share for i in indexes]
-        backbones = scored_by_key[key].top_share_many(shares)
-        shared.update(zip(indexes, backbones))
-    return shared
-
 
 def _apply_filter(item: CompiledPlan, scored) -> EdgeTable:
     """One plan's filter phase on (possibly cached) scores.
