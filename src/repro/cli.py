@@ -397,13 +397,13 @@ def _run_backbone(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     backbone = result.backbone
-    # Streamed plans carry a TableSummary instead of the parsed table;
-    # it answers everything the report needs (m, non_isolated_count).
-    table = result.table if result.table is not None else result.base
+    # The source's TableSummary answers everything the report needs
+    # (m, non_isolated_count), in memory, streamed or warm alike.
+    base = result.base
     write_edges(backbone, args.output)
-    kept_nodes = coverage(table, backbone)
-    print(f"kept {backbone.m} of {table.m} edges "
-          f"({backbone.m / max(table.m, 1):.1%}); "
+    kept_nodes = coverage(base, backbone)
+    print(f"kept {backbone.m} of {base.m} edges "
+          f"({backbone.m / max(base.m, 1):.1%}); "
           f"coverage {kept_nodes:.1%}")
     return 0
 
@@ -493,9 +493,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     # The whole sweep compiles to a flow plan batch: one plan per
     # method and share over one file source. Source bindings (file
-    # fingerprint -> table fingerprint, so warm runs never hash a
-    # parsed table) and scoring deduplication live in the flow
-    # compiler, not here.
+    # fingerprint -> table fingerprint and summary, so warm runs parse
+    # nothing) and scoring deduplication live in the flow compiler,
+    # not here.
     store = None if args.cache_dir is None else ScoreStore(args.cache_dir)
     codes = [code.strip() for code in args.methods.split(",")
              if code.strip()]
@@ -571,11 +571,11 @@ def _run_flow(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     backbone = result.backbone
-    table = result.table if result.table is not None else result.base
     if args.output:
         write_edges(backbone, args.output)
     print(f"plan {plan.fingerprint()[:16]}: kept {backbone.m} of "
-          f"{table.m} edges ({result.kept_share:.1%} of non-loop edges)")
+          f"{result.base.m} edges ({result.kept_share:.1%} of non-loop "
+          "edges)")
     for name, value in result.metrics.items():
         print(f"  {name}: {value:.6g}")
     if store is not None:

@@ -1,22 +1,26 @@
-"""Lowering plans onto the pipeline: tables, fingerprints, cache keys.
+"""Lowering plans onto the pipeline: sources, fingerprints, cache keys.
 
 Compilation is the step between the declarative :class:`Plan` and the
 execution machinery (:func:`repro.pipeline.store.score_with_store`,
 backend spec strings, ``workers=``). For a batch of plans it
 
-1. resolves every *distinct* source exactly once — a file is hashed
-   once and parsed at most once per batch, however many plans point at
-   it, and a store's source binding (``bind_source`` /
-   ``resolve_source``, persisted since PR 4) supplies the table
-   fingerprint on warm runs so key derivation never re-hashes a parsed
-   table;
+1. resolves every *distinct* source exactly once, into one
+   :class:`SourceHandle`. A file is hashed once per batch, and the
+   store's source binding (``bind_source`` / ``source_binding``, keyed
+   by the file-content hash plus parse options) supplies the table
+   fingerprint and the table's
+   :class:`~repro.graph.edge_table.TableSummary`, so a warm source is
+   not parsed here at all: its handle parses at most once, later, and
+   only when a score key misses the store or a worker payload needs
+   the table. A cold source is parsed, hashed and bound right away; a
+   binding recorded without a summary is upgraded by that one parse;
 2. builds the configured method instance and derives the score-cache
    key (:func:`~repro.pipeline.fingerprint.fingerprint_score_request`)
    — the key deliberately excludes extraction-only knobs, which is
    what lets N plans at different deltas or shares share one scoring
    pass;
-3. resolves metric specs against the source table (so ``"coverage"``
-   measures retention against the input).
+3. resolves metric specs against the source's summary (so
+   ``"coverage"`` measures retention against the input).
 
 The result, one :class:`CompiledPlan` per plan, is everything
 :func:`repro.flow.serve` needs to schedule scoring and apply filters.
@@ -30,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backbones.base import BackboneMethod
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, TableSummary
 from ..obs.trace import span
 from ..pipeline.fingerprint import (fingerprint_score_request,
                                     fingerprint_table)
@@ -42,104 +46,117 @@ from .plan import Plan
 from .spec import FilterSpec, TableSource
 
 
+class SourceHandle:
+    """One distinct source of a compiled batch.
+
+    Holds the source and table fingerprints and the table's summary,
+    and parses the source at most once: :meth:`table` parses on its
+    first call and keeps the table, or the error, which every later
+    call re-raises, so a failed parse fails only the plans over this
+    source. :attr:`parsed_table` is the table once the batch holds it
+    (a cold source, an in-memory table, or a parse on a score miss),
+    else ``None``.
+    """
+
+    def __init__(self, source, source_fp: str, table_fp: str,
+                 summary: TableSummary,
+                 table: Optional[EdgeTable] = None):
+        self.source = source
+        self.source_fp = source_fp
+        self.table_fp = table_fp
+        self.summary = summary
+        self.parsed_table = table
+        self._error: Optional[Exception] = None
+
+    def table(self) -> EdgeTable:
+        """The source's table, parsed on the first call."""
+        if self.parsed_table is None:
+            if self._error is not None:
+                raise self._error
+            try:
+                self.parsed_table = self.source.resolve()
+            except Exception as error:
+                self._error = error
+                raise
+        return self.parsed_table
+
+
 @dataclass
 class CompiledPlan:
-    """A plan lowered onto concrete data and cache keys."""
+    """A plan lowered onto its source handle and score-cache key."""
 
     plan: Plan
-    table: Optional[EdgeTable]  # None only in key-derivation mode
-    table_fp: str
-    source_fp: str
+    handle: SourceHandle
     method: BackboneMethod
     key: str  # score-cache key (table x score-relevant method config)
     budget: Optional[FilterSpec]
     metrics: Tuple
     #: The out-of-core handle when the plan compiled to the streaming
-    #: path (``table`` is then ``None``; the cache key is unchanged —
-    #: the stream's fingerprint equals the in-memory table's).
+    #: path (its source handle never parses; the cache key is
+    #: unchanged — the stream's fingerprint equals the in-memory
+    #: table's).
     stream: Optional[object] = field(default=None, repr=False)
 
 
 def compile_plans(plans: Sequence[Plan], store: Optional[ScoreStore],
-                  need_tables: bool = True,
                   allow_streaming: bool = True) -> List[CompiledPlan]:
     """Compile a batch, resolving each distinct source exactly once.
 
-    ``store`` may be ``None`` (no source bindings are read or written);
-    callers that want batch deduplication pass at least a memory-only
-    :class:`ScoreStore`. ``need_tables=False`` is the key-derivation
-    mode behind ``--explain``: when the store's source binding already
-    supplies a file's table fingerprint, the file is not parsed at all
-    (``table`` is ``None`` and metric specs stay unresolved).
+    ``store`` may be ``None`` (no source bindings are read or written,
+    so every file source is parsed); callers that want batch
+    deduplication pass at least a memory-only :class:`ScoreStore`.
     ``allow_streaming=False`` forces the in-memory path regardless of
-    the plans' ``streaming`` setting (used by entry points that must
-    materialize full score arrays, e.g. :meth:`Plan.scores`).
+    the plans' ``streaming`` setting (used by entry points that
+    materialize full score arrays or only derive keys:
+    :meth:`Plan.scores` and :meth:`Plan.describe`).
     """
-    # source spec -> (source_fp, table, table_fp); file sources are
-    # hashable frozen specs, table sources memoize by table identity.
-    by_spec: Dict[object, Tuple[str, Optional[EdgeTable], str]] = {}
-    streams: Dict[object, Tuple[str, object]] = {}
-    compiled = []
+    # Source spec -> handle; file sources are hashable frozen specs,
+    # table sources memoize by table identity.
+    handles: Dict[object, SourceHandle] = {}
+    streams: Dict[object, Tuple[SourceHandle, object]] = {}
     with span("flow.compile", plans=len(plans)):
-        _compile_into(plans, store, need_tables, by_spec, streams,
-                      compiled, allow_streaming)
-    return compiled
+        return [_compile_one(plan, store, handles, streams,
+                             allow_streaming) for plan in plans]
 
 
-def _compile_into(plans, store, need_tables, by_spec, streams, compiled,
-                  allow_streaming):
-    for plan in plans:
-        require(isinstance(plan, Plan),
-                f"serve expects Plan objects, got {type(plan).__name__}")
-        require(plan.method_spec is not None,
-                "plan has no method; call .method(code) before running")
-        method = plan.method_spec.build()
-        if _wants_stream(plan, method, need_tables, allow_streaming):
-            source_fp, stream = _resolve_stream(plan.source, store,
-                                                streams)
-            key = fingerprint_score_request(
-                None, method, table_fingerprint=stream.table_fp)
-            metrics = tuple(spec.build(stream.summary)
-                            for spec in plan.metric_specs)
-            compiled.append(CompiledPlan(plan=plan, table=None,
-                                         table_fp=stream.table_fp,
-                                         source_fp=source_fp,
-                                         method=method, key=key,
-                                         budget=plan.budget_spec,
-                                         metrics=metrics, stream=stream))
-            continue
+def _compile_one(plan, store, handles, streams,
+                 allow_streaming) -> CompiledPlan:
+    require(isinstance(plan, Plan),
+            f"serve expects Plan objects, got {type(plan).__name__}")
+    require(plan.method_spec is not None,
+            "plan has no method; call .method(code) before running")
+    method = plan.method_spec.build()
+    stream = None
+    if _wants_stream(plan, method, allow_streaming):
+        handle, stream = _resolve_stream(plan.source, store, streams)
+    else:
         memo_key = (id(plan.source.table)
                     if isinstance(plan.source, TableSource)
                     else plan.source)
-        found = by_spec.get(memo_key)
-        if found is None:
-            found = _resolve_source(plan.source, store,
-                                    need_table=need_tables)
-            by_spec[memo_key] = found
-        source_fp, table, table_fp = found
-        key = fingerprint_score_request(table, method,
-                                        table_fingerprint=table_fp)
-        metrics = () if table is None else tuple(
-            spec.build(table) for spec in plan.metric_specs)
-        compiled.append(CompiledPlan(plan=plan, table=table,
-                                     table_fp=table_fp,
-                                     source_fp=source_fp, method=method,
-                                     key=key, budget=plan.budget_spec,
-                                     metrics=metrics))
+        handle = handles.get(memo_key)
+        if handle is None:
+            handle = handles[memo_key] = _resolve_source(plan.source,
+                                                         store)
+    key = fingerprint_score_request(None, method,
+                                    table_fingerprint=handle.table_fp)
+    metrics = tuple(spec.build(handle.summary)
+                    for spec in plan.metric_specs)
+    return CompiledPlan(plan=plan, handle=handle, method=method, key=key,
+                        budget=plan.budget_spec, metrics=metrics,
+                        stream=stream)
 
 
-def _wants_stream(plan, method, need_tables, allow_streaming) -> bool:
+def _wants_stream(plan, method, allow_streaming) -> bool:
     """The compile decision: does this plan run out-of-core?
 
     ``streaming=True`` demands it (and raises
     :class:`StreamingUnsupported` for whole-graph methods);
     ``"auto"`` streams supported methods when the source file reaches
     :func:`auto_threshold_bytes`, silently staying in memory
-    otherwise. Key-derivation mode (``need_tables=False``) never
-    streams — it never touches the data at all when bindings are warm.
+    otherwise.
     """
     streaming = getattr(plan, "streaming", "auto")
-    if streaming is False or not allow_streaming or not need_tables:
+    if streaming is False or not allow_streaming:
         return False
     if isinstance(plan.source, TableSource):
         require(streaming is not True,
@@ -177,12 +194,14 @@ def _stream_path(source) -> Path:
 
 
 def _resolve_stream(source, store: Optional[ScoreStore], streams):
-    """(source fingerprint, CanonicalStream) for one source, memoized.
+    """(source handle, CanonicalStream) for one source, memoized.
 
     Pass 1 always runs — even on a warm store — because scoring needs
-    the node aggregates and metrics need the table summary; what warm
-    runs skip is pass-2 scoring (the store answers by cache key, and
-    the stream's fingerprint matches the in-memory table's).
+    the node aggregates; what warm runs skip is pass-2 scoring (the
+    store answers by cache key, and the stream's fingerprint matches
+    the in-memory table's). Pass 1 records the same source binding as
+    the in-memory path, summary included, so a later in-memory request
+    over the file parses nothing on a score hit.
     """
     try:
         found = streams.get(source)
@@ -200,36 +219,39 @@ def _resolve_stream(source, store: Optional[ScoreStore], streams):
                              directed=getattr(source, "directed", True),
                              delimiter=getattr(source, "delimiter", ","),
                              format=fmt)
-    if store is not None and store.resolve_source(source_fp) is None:
-        store.bind_source(source_fp, stream.table_fp)
-    found = (source_fp, stream)
+    if store is not None:
+        binding = store.source_binding(source_fp)
+        if binding is None or binding[1] is None:
+            store.bind_source(source_fp, stream.table_fp, stream.summary)
+    found = (SourceHandle(source, source_fp, stream.table_fp,
+                          stream.summary), stream)
     with suppress(TypeError):
         streams[source] = found
     return found
 
 
-def _resolve_source(source, store: Optional[ScoreStore],
-                    need_table: bool = True):
-    """(source fingerprint, table, table fingerprint) for one source.
+def _resolve_source(source, store: Optional[ScoreStore]) -> SourceHandle:
+    """The in-memory handle of one source.
 
     For table sources the source fingerprint *is* the table
-    fingerprint. For file sources the store's source binding supplies
-    the table fingerprint when known (warm runs never call
-    :func:`fingerprint_table`, and key-only callers passing
-    ``need_table=False`` skip the parse entirely); a fresh binding is
-    recorded otherwise.
+    fingerprint, and the table is already at hand. A file source whose
+    binding carries a summary is resolved from the file hash alone
+    (no parse, no :func:`fingerprint_table`); otherwise it is parsed
+    now and its binding recorded, or upgraded with the summary while
+    keeping the bound table fingerprint.
     """
     if isinstance(source, TableSource):
         table = source.table
         table_fp = fingerprint_table(table)
-        return table_fp, table, table_fp
+        return SourceHandle(source, table_fp, table_fp, table.summary(),
+                            table)
     source_fp = source.fingerprint()
-    table_fp = None if store is None else store.resolve_source(source_fp)
-    if table_fp is not None and not need_table:
-        return source_fp, None, table_fp
+    binding = None if store is None else store.source_binding(source_fp)
+    if binding is not None and binding[1] is not None:
+        return SourceHandle(source, source_fp, *binding)
     table = source.resolve()
-    if table_fp is None:
-        table_fp = fingerprint_table(table)
-        if store is not None:
-            store.bind_source(source_fp, table_fp)
-    return source_fp, table, table_fp
+    table_fp = fingerprint_table(table) if binding is None else binding[0]
+    summary = table.summary()
+    if store is not None:
+        store.bind_source(source_fp, table_fp, summary)
+    return SourceHandle(source, source_fp, table_fp, summary, table)

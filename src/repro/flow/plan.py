@@ -167,7 +167,8 @@ class Plan:
         compiled = compile_plans(
             [self], ScoreStore() if store is None else store,
             allow_streaming=False)[0]
-        return score_with_store(compiled.method, compiled.table,
+        # A warm source parses only if the store misses the key.
+        return score_with_store(compiled.method, compiled.handle.table,
                                 store, key=compiled.key)
 
     # ------------------------------------------------------------------
@@ -229,30 +230,31 @@ class Plan:
     def describe(self, store=None) -> Dict[str, object]:
         """The compiled plan as data: fingerprints, config, cache key.
 
-        Parses the source (cheaply; never scores) unless ``store``
-        already holds a binding for it — a warm store answers from
-        the file hash alone. This is what ``--explain`` prints.
+        Never scores. Compiles in memory (``allow_streaming=False``),
+        so it parses the source only when ``store`` holds no binding
+        (with a table summary) for it — a warm store answers from the
+        file hash alone. This is what ``--explain`` prints.
         """
         from .compile import compile_plans
         from ..pipeline.store import ScoreStore
 
         compiled = compile_plans(
             [self], ScoreStore() if store is None else store,
-            need_tables=False)[0]
+            allow_streaming=False)[0]
         method = compiled.method
         budget = self.budget_spec or FilterSpec()
         payload: Dict[str, object] = {
             "plan": self.fingerprint(),
             "source": {
                 "spec": self.source.describe(),
-                "fingerprint": compiled.source_fp,
+                "fingerprint": compiled.handle.source_fp,
             },
             "method": method.describe(),
             "filter": dict(method.filter_spec(**budget.budget_kwargs()),
                            rank=budget.rank),
             "metrics": [spec.key for spec in self.metric_specs],
             "cache": {
-                "table": compiled.table_fp,
+                "table": compiled.handle.table_fp,
                 "score_key": compiled.key,
             },
         }

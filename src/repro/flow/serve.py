@@ -5,19 +5,24 @@
 plans — many users, many deltas, many budgets, same sources — and it
 
 1. compiles the batch (:mod:`repro.flow.compile`): each distinct
-   source parsed once, each plan lowered to a score-cache key;
+   source resolved once to a handle carrying its fingerprints and
+   table summary, each plan lowered to a score-cache key;
 2. runs every *distinct* scoring request at most once, consulting the
    :class:`~repro.pipeline.store.ScoreStore` first and fanning cold
    requests out across worker processes (the ``workers=`` knob of
    :mod:`repro.util.parallel`; workers reopen the store's backend
-   spec, and ship their results back for the parent to adopt);
+   spec, and ship their results back for the parent to adopt). A
+   source whose binding is warm is parsed only here, once, and only
+   when one of its keys misses the store;
 3. applies each plan's filter and metrics serially — cheap compared
-   to scoring.
+   to scoring. The kept share and ``"coverage"`` read the source's
+   summary, never the parsed table.
 
 Per-plan failures are *isolated*: any scoring, filtering or metric
 exception — the deterministic Sinkhorn non-convergence (recorded as a
-negative cache entry), a budget that the method rejects, an unexpected
-bug in one method — is surfaced as that plan's :attr:`FlowResult.error`
+negative cache entry), a budget that the method rejects, a source that
+fails to parse on a score miss, an unexpected bug in one method — is
+surfaced as that plan's :attr:`FlowResult.error`
 instead of poisoning the batch; :meth:`Plan.run` re-raises it to match
 the legacy single-call path bit for bit. A worker process dying
 mid-batch degrades to a serial re-run of the lost scoring requests
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backbones.doubly_stochastic import SinkhornConvergenceError
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, TableSummary
 from ..obs.trace import span
 from ..pipeline.backends import NegativeEntry
 from ..pipeline.store import ScoreStore, score_with_store
@@ -50,8 +55,16 @@ class FlowResult:
     failed), ``values`` the metric values aligned with the plan's
     metric specs, ``kept_share`` the backbone's share of the source's
     non-loop edges, and ``cache_key`` the score-store key the request
-    resolved to. ``table`` references the resolved source table
-    (shared across the batch, not a copy).
+    resolved to.
+
+    ``base`` is the source table's
+    :class:`~repro.graph.edge_table.TableSummary` (``n_nodes``, ``m``,
+    ``nonloop_m``, ``non_isolated_count()``), set on every result of a
+    compiled plan, in memory, streamed or warm alike. ``table`` is the
+    parsed source table (shared across the batch, not a copy) only
+    when the batch really parsed it — a cold source, an in-memory
+    table, or a score miss. A warm request parses nothing, so its
+    ``table`` is ``None``; streamed plans never materialize it.
     """
 
     plan: Plan
@@ -61,9 +74,7 @@ class FlowResult:
     values: Tuple[float, ...] = ()
     kept_share: Optional[float] = None
     error: Optional[Exception] = field(default=None, repr=False)
-    #: O(1) summary of the source table (always set for streamed
-    #: plans, whose ``table`` is ``None`` by design).
-    base: Optional[object] = None
+    base: Optional[TableSummary] = None
 
     @property
     def ok(self) -> bool:
@@ -108,16 +119,15 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
     stream_backbones, stream_errors = _serve_streams(
         compiled, scored_by_key, error_by_key)
     results = []
-    nonloop_m: Dict[int, int] = {}  # per shared table, computed once
     for index, item in enumerate(compiled):
-        base = None if item.stream is None else item.stream.summary
-        error = error_by_key.get(item.key)
-        if error is None:
-            error = stream_errors.get(index)
-        if error is not None:
-            results.append(FlowResult(plan=item.plan, cache_key=item.key,
-                                      table=item.table, base=base,
-                                      error=error))
+        result = FlowResult(plan=item.plan, cache_key=item.key,
+                            table=item.handle.parsed_table,
+                            base=item.handle.summary)
+        results.append(result)
+        result.error = error_by_key.get(item.key)
+        if result.error is None:
+            result.error = stream_errors.get(index)
+        if result.error is not None:
             continue
         try:
             with span("plan.extract", key=item.key[:16]):
@@ -125,27 +135,16 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
                 if backbone is None:
                     backbone = _apply_filter(item,
                                              scored_by_key[item.key])
-                if item.stream is not None:
-                    base_m = item.stream.nonloop_m
-                else:
-                    base_m = nonloop_m.get(id(item.table))
-                    if base_m is None:
-                        base_m = item.table.nonloop_m
-                        nonloop_m[id(item.table)] = base_m
-                kept = backbone.m / max(base_m, 1)
+                kept = backbone.m / max(item.handle.summary.nonloop_m, 1)
                 values = tuple(metric(backbone)
                                for metric in item.metrics)
         except Exception as error:
             # Filter/metric isolation: a budget the method rejects (or
             # a metric blowing up) fails this plan, not its batchmates.
-            results.append(FlowResult(plan=item.plan, cache_key=item.key,
-                                      table=item.table, base=base,
-                                      error=error))
+            result.error = error
             continue
-        results.append(FlowResult(plan=item.plan, cache_key=item.key,
-                                  table=item.table, backbone=backbone,
-                                  values=values, kept_share=kept,
-                                  base=base))
+        result.backbone, result.values = backbone, values
+        result.kept_share = kept
     return results
 
 
@@ -183,14 +182,20 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
                        if item.stream is None and key not in store]
             if len(pending) > 1:
                 spec = store.worker_spec()
-                payloads = [(item.method, item.table, spec, item.key)
-                            for item in pending]
+                payloads = []
+                for item in pending:
+                    try:
+                        payloads.append((item.method, item.handle.table(),
+                                         spec, item.key))
+                    except Exception as error:
+                        # An unparseable source fails only its plans.
+                        error_by_key[item.key] = error
                 # retry_serial: a worker killed mid-batch degrades to
                 # scoring the lost requests in-process, never to a raw
                 # BrokenProcessPool surfacing to the caller.
                 outcomes = parallel_map(_score_remote, payloads,
                                         workers=min(count,
-                                                    len(pending)),
+                                                    len(payloads)),
                                         retry_serial=True)
                 for worker_stats, extras in outcomes:
                     for key, entry in extras:
@@ -216,13 +221,14 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
                     scored_by_key[key] = cached
                 continue
             try:
+                # The handle parses only if the store misses this key.
                 scored_by_key[key] = score_with_store(
-                    item.method, item.table, store, key=key)
+                    item.method, item.handle.table, store, key=key)
             except Exception as error:
                 # Per-plan isolation: deterministic failures (Sinkhorn
                 # non-convergence) are negative-cached by the store;
-                # any other scoring exception still fails only the
-                # plans that share this key, never the batch.
+                # any other scoring or parse exception still fails
+                # only the plans that share this key, never the batch.
                 error_by_key[key] = error
     return scored_by_key, error_by_key
 

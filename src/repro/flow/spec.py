@@ -29,8 +29,8 @@ each a small frozen object that *describes* work without doing any:
   raw scores the way share sweeps do (``ScoredEdges.top_share``),
   reproducing :func:`repro.evaluation.sweep.share_sweep`.
 * metric specs — :class:`MetricSpec` names one of the registered
-  metrics (resolved against the source table at run time, so
-  ``"coverage"`` measures retention against the *input*);
+  metrics (resolved against the source's table summary when the plan
+  compiles, so ``"coverage"`` measures retention against the *input*);
   :class:`CallableMetric` wraps any picklable callable (e.g. the
   stability metric built from a stack of yearly tables).
 
@@ -334,7 +334,11 @@ def filter_from_json(payload: Dict[str, object]) -> FilterSpec:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A registered metric by name, resolved against the source table."""
+    """A registered metric by name, resolved against the source.
+
+    ``build`` receives the source's
+    :class:`~repro.graph.edge_table.TableSummary`, not its columns.
+    """
 
     name: str
 

@@ -49,6 +49,57 @@ class NodeTotals:
     grand_total: float
 
 
+class TableSummary:
+    """O(1) stand-in for a base ``EdgeTable``: its counts, no columns.
+
+    Carries exactly what downstream consumers read off a base table —
+    ``n_nodes``, canonical row counts, directedness, labels and
+    ``non_isolated_count()`` (so :func:`repro.evaluation.coverage.
+    coverage` and the CLI summaries work unchanged). Streamed plans
+    get one from pass 1; score-store source bindings persist one
+    (:meth:`to_json` / :meth:`from_json`), so a warm request needs no
+    parse to report its kept share or coverage.
+    """
+
+    __slots__ = ("n_nodes", "m", "nonloop_m", "directed", "labels",
+                 "_non_isolated")
+
+    def __init__(self, n_nodes: int, m: int, nonloop_m: int,
+                 directed: bool, labels: Optional[Tuple[str, ...]],
+                 non_isolated: int):
+        self.n_nodes = int(n_nodes)
+        self.m = int(m)
+        self.nonloop_m = int(nonloop_m)
+        self.directed = bool(directed)
+        self.labels = labels
+        self._non_isolated = int(non_isolated)
+
+    def non_isolated_count(self) -> int:
+        return self._non_isolated
+
+    def to_json(self) -> Dict[str, object]:
+        return {"n_nodes": self.n_nodes, "m": self.m,
+                "nonloop_m": self.nonloop_m, "directed": self.directed,
+                "labels": (None if self.labels is None
+                           else list(self.labels)),
+                "non_isolated": self._non_isolated}
+
+    @classmethod
+    def from_json(cls, payload: Mapping[str, object]) -> "TableSummary":
+        """Inverse of :meth:`to_json`; raises ``KeyError``,
+        ``TypeError`` or ``ValueError`` on a malformed payload."""
+        labels = payload["labels"]
+        return cls(payload["n_nodes"], payload["m"],
+                   payload["nonloop_m"], payload["directed"],
+                   None if labels is None else tuple(labels),
+                   payload["non_isolated"])
+
+    def __repr__(self) -> str:
+        kind = "directed" if self.directed else "undirected"
+        return (f"TableSummary({kind}, n_nodes={self.n_nodes}, "
+                f"m={self.m})")
+
+
 class EdgeTable:
     """A weighted edge list over nodes ``0 .. n_nodes - 1``.
 
@@ -353,6 +404,12 @@ class EdgeTable:
     def non_isolated_count(self) -> int:
         """Number of nodes touched by at least one edge."""
         return self.n_nodes - len(self.isolates())
+
+    def summary(self) -> TableSummary:
+        """This table's :class:`TableSummary` (two O(m) passes)."""
+        return TableSummary(self.n_nodes, self.m, self.nonloop_m,
+                            self.directed, self.labels,
+                            self.non_isolated_count())
 
     # ------------------------------------------------------------------
     # Transformations

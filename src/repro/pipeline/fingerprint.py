@@ -145,10 +145,10 @@ def fingerprint_file(path: PathLike,
     million-edge CSV costs one sequential read (no parsing, no
     decompression — the compressed bytes of a ``.gz`` identify it).
     Combined with a stored binding to the parsed table's
-    :func:`fingerprint_table` (see
-    :meth:`repro.pipeline.store.ScoreStore.resolve_source`), a sweep
-    over an already-seen file derives its cache keys without the file
-    ever being re-parsed for key derivation.
+    :func:`fingerprint_table` and summary (see
+    :meth:`repro.pipeline.store.ScoreStore.source_binding`), a request
+    over an already-seen file derives its cache keys and kept-share
+    base without the file being parsed at all.
     """
     digest = hashlib.sha256()
     digest.update(f"repro.file/v{_SCHEMA_VERSION}".encode())

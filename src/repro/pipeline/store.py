@@ -44,10 +44,10 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 from ..backbones.base import BackboneMethod, ScoredEdges
-from ..graph.edge_table import EdgeTable
+from ..graph.edge_table import EdgeTable, TableSummary
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 from .backends import (BackendCorruption, DirectoryBackend, EntryCorrupt,
@@ -301,29 +301,35 @@ class ScoreStore:
             self._mark_degraded(error)
 
     # ------------------------------------------------------------------
-    # Source bindings (file fingerprint -> table fingerprint)
+    # Source bindings (file fingerprint -> table fingerprint + summary)
     # ------------------------------------------------------------------
 
-    def bind_source(self, source_key: str,
-                    table_fingerprint: str) -> None:
+    def bind_source(self, source_key: str, table_fingerprint: str,
+                    summary: Optional[TableSummary] = None) -> None:
         """Record that the file behind ``source_key`` parses to the
-        table with ``table_fingerprint``.
+        table with ``table_fingerprint`` and ``summary``.
 
         ``source_key`` comes from
         :func:`repro.pipeline.fingerprint.fingerprint_source_request`
-        (a streamed hash of the raw file plus the parse options), so
-        later sweeps over the same file can derive their score-cache
-        keys with :meth:`resolve_source` instead of re-hashing a fully
-        parsed table.
+        (a streamed hash of the raw file plus the parse options), so a
+        changed file never meets a stale binding. Later requests over
+        the same file derive their score-cache keys with
+        :meth:`resolve_source` instead of re-hashing a parsed table,
+        and read the table's :class:`~repro.graph.edge_table.
+        TableSummary` (row counts, non-isolated nodes) from
+        :meth:`source_binding`, so a warm request parses nothing. A
+        binding recorded without a summary stays valid for key
+        derivation; :mod:`repro.flow.compile` upgrades it with one
+        parse.
         """
-        self._sources[source_key] = table_fingerprint
+        self._sources[source_key] = (table_fingerprint, summary)
         if not self._backend_usable():
             return
-        meta = {
-            "schema": _SCHEMA_VERSION,
-            "key": source_key,
-            "source": {"table": table_fingerprint},
-        }
+        binding: dict = {"table": table_fingerprint}
+        if summary is not None:
+            binding["summary"] = summary.to_json()
+        meta = {"schema": _SCHEMA_VERSION, "key": source_key,
+                "source": binding}
         try:
             self.backend.put(source_key, RawEntry(meta=meta, payload=None))
         except KVUnavailableError as error:
@@ -332,6 +338,17 @@ class ScoreStore:
     def resolve_source(self, source_key: str) -> Optional[str]:
         """Table fingerprint previously bound to ``source_key``, or
         ``None`` when the binding is unknown (or unreadable)."""
+        binding = self.source_binding(source_key)
+        return None if binding is None else binding[0]
+
+    def source_binding(self, source_key: str
+                       ) -> Optional[Tuple[str, Optional[TableSummary]]]:
+        """``(table fingerprint, summary)`` bound to ``source_key``.
+
+        ``None`` when the binding is unknown or unreadable; the
+        summary is ``None`` for a binding recorded without one (or
+        whose summary does not decode).
+        """
         found = self._sources.get(source_key)
         if found is not None:
             return found
@@ -353,8 +370,14 @@ class ScoreStore:
         table_fingerprint = source.get("table")
         if not isinstance(table_fingerprint, str):
             return None
-        self._sources[source_key] = table_fingerprint
-        return table_fingerprint
+        summary = None
+        if isinstance(source.get("summary"), dict):
+            try:
+                summary = TableSummary.from_json(source["summary"])
+            except (KeyError, TypeError, ValueError):
+                pass  # undecodable: upgraded like a summary-less one
+        found = self._sources[source_key] = (table_fingerprint, summary)
+        return found
 
     def memory_entries(self):
         """Snapshot of the in-process tier as ``(key, entry)`` pairs.
@@ -515,21 +538,26 @@ class ScoreStore:
             return None
 
 
-def score_with_store(method: BackboneMethod, table: EdgeTable,
+def score_with_store(method: BackboneMethod,
+                     table: Union[EdgeTable, Callable[[], EdgeTable]],
                      store: Optional[ScoreStore],
                      key: Optional[str] = None) -> ScoredEdges:
     """``method.score(table)``, served from ``store`` when possible.
 
     ``key`` accepts a precomputed fingerprint so sweep loops hash the
-    table once instead of once per method.
+    table once instead of once per method. With a key, ``table`` may
+    also be a zero-argument callable returning the table: it is called
+    only when the store cannot answer, which is how
+    :mod:`repro.flow.serve` parses a source only on a score miss.
 
     The ``score`` span's ``pid`` attribute tells worker-process
     scoring apart from in-parent scoring in an exported trace.
     """
+    load = table if callable(table) else lambda: table
     with span("score", method=method.name, pid=os.getpid()):
         if store is None:
-            return method.score(table)
+            return method.score(load())
         if key is None:
-            key = fingerprint_score_request(table, method)
-        return store.get_or_compute(key, lambda: method.score(table),
+            key = fingerprint_score_request(load(), method)
+        return store.get_or_compute(key, lambda: method.score(load()),
                                     label=method.name)

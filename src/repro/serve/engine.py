@@ -15,7 +15,10 @@ happen to share its admission window.
 2. **per source group** — plans are grouped by source spec and each
    group is compiled on its own, so a missing file or a parse error
    fails the plans over that source and nobody else (while same-source
-   plans still share one hash + parse, the PR 5 contract);
+   plans still share one hash + parse, the PR 5 contract). A source
+   with a warm binding parses later, only on a score miss, through its
+   batch-wide handle, which fails just that source's plans the same
+   way;
 3. **per batch** — everything that compiled is handed to
    :func:`repro.flow.serve.serve_compiled` as *one* batch, so scoring
    deduplication (8 deltas over one source, one scoring pass) still

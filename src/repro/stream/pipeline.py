@@ -44,7 +44,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..graph.edge_table import NodeTotals
+from ..graph.edge_table import NodeTotals, TableSummary
 from ..graph.ingest import detect_format, stream_csv_chunks
 from ..obs.trace import span
 from ..pipeline.fingerprint import _SCHEMA_VERSION, canonical_json
@@ -88,38 +88,6 @@ def default_block_rows() -> int:
 
 def default_run_rows() -> int:
     return _env_int("REPRO_STREAM_RUN_ROWS", DEFAULT_RUN_ROWS)
-
-
-class TableSummary:
-    """O(1) stand-in for the base ``EdgeTable`` of a streamed plan.
-
-    Carries exactly what downstream consumers read off the base table
-    — ``n_nodes``, canonical row counts, directedness, labels and
-    ``non_isolated_count()`` (so :func:`repro.evaluation.coverage.
-    coverage` and the CLI summaries work unchanged) — without the
-    columns.
-    """
-
-    __slots__ = ("n_nodes", "m", "nonloop_m", "directed", "labels",
-                 "_non_isolated")
-
-    def __init__(self, n_nodes: int, m: int, nonloop_m: int,
-                 directed: bool, labels: Optional[Tuple[str, ...]],
-                 non_isolated: int):
-        self.n_nodes = int(n_nodes)
-        self.m = int(m)
-        self.nonloop_m = int(nonloop_m)
-        self.directed = bool(directed)
-        self.labels = labels
-        self._non_isolated = int(non_isolated)
-
-    def non_isolated_count(self) -> int:
-        return self._non_isolated
-
-    def __repr__(self) -> str:
-        kind = "directed" if self.directed else "undirected"
-        return (f"TableSummary({kind}, n_nodes={self.n_nodes}, "
-                f"m={self.m})")
 
 
 class CanonicalStream:

@@ -53,6 +53,57 @@ def edges_csv(tmp_path, table):
     return path
 
 
+class ParseSpy:
+    """Counts source parses and table hashes on every path a request
+    can reach them by; after :meth:`forbid` each one fails the test."""
+
+    def __init__(self, monkeypatch):
+        from repro.flow import compile as compile_mod
+        from repro.flow import sources as sources_mod
+        from repro.flow import spec as spec_mod
+        from repro.graph import ingest as ingest_mod
+
+        self.parses = 0
+        self.table_hashes = 0
+        self.forbidden = False
+        self._depth = 0  # read_edges -> read_edge_npz is one parse
+        for module in (spec_mod, sources_mod):
+            monkeypatch.setattr(module, "read_edges",
+                                self._parse(module.read_edges))
+        monkeypatch.setattr(ingest_mod, "read_edge_npz",
+                            self._parse(ingest_mod.read_edge_npz))
+        monkeypatch.setattr(compile_mod, "fingerprint_table",
+                            self._hash(compile_mod.fingerprint_table))
+
+    def forbid(self):
+        self.forbidden = True
+
+    def _parse(self, original):
+        def parse(*args, **kwargs):
+            if self.forbidden:
+                raise AssertionError("a warm request parsed its source")
+            self.parses += self._depth == 0
+            self._depth += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                self._depth -= 1
+        return parse
+
+    def _hash(self, original):
+        def fingerprint(*args, **kwargs):
+            if self.forbidden:
+                raise AssertionError("a warm request hashed its table")
+            self.table_hashes += 1
+            return original(*args, **kwargs)
+        return fingerprint
+
+
+@pytest.fixture()
+def parse_spy(monkeypatch):
+    return ParseSpy(monkeypatch)
+
+
 # ----------------------------------------------------------------------
 # Plan-vs-legacy bit identity (the acceptance contract)
 # ----------------------------------------------------------------------
@@ -207,20 +258,14 @@ class TestBatchDeduplication:
             flow(star).method("DS").run()
 
     def test_file_source_parsed_once_per_batch(self, edges_csv,
-                                               monkeypatch):
-        from repro.flow import spec as spec_mod
-
-        calls = []
-        original = spec_mod.read_edges
-
-        def counting(path, **kwargs):
-            calls.append(str(path))
-            return original(path, **kwargs)
-
-        monkeypatch.setattr(spec_mod, "read_edges", counting)
-        base = flow(str(edges_csv), directed=False).method("NT")
-        serve([base.budget(share=s) for s in (0.1, 0.2, 0.3)])
-        assert len(calls) == 1
+                                               parse_spy):
+        results = flow(str(edges_csv), directed=False).method("NC") \
+            .run_many(store=ScoreStore(), delta=[1.0, 1.64, 2.0, 3.0],
+                      share=[0.1, 0.2])
+        assert len(results) == 8 and all(r.ok for r in results)
+        assert parse_spy.parses == 1 and parse_spy.table_hashes == 1
+        assert results[0].table is not None
+        assert all(r.table is results[0].table for r in results)
 
 
 # ----------------------------------------------------------------------
@@ -311,24 +356,162 @@ class TestFileSourceBindings:
         assert store.stats.disk_hits + store.stats.memory_hits >= 1
 
     def test_warm_describe_never_parses_the_file(self, edges_csv,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path, parse_spy):
         """--explain against a warm store answers from the file hash
         and the stored binding alone — no parse, no table hash."""
         store = ScoreStore(tmp_path / "cache")
         plan = flow(str(edges_csv), directed=False).method("NT") \
             .budget(share=0.5)
         cold_info = plan.describe(store=store)
-
-        from repro.flow import compile as compile_mod
-        from repro.flow import spec as spec_mod
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("warm describe touched the table")
-
-        monkeypatch.setattr(compile_mod, "fingerprint_table", forbidden)
-        monkeypatch.setattr(spec_mod, "read_edges", forbidden)
+        parse_spy.forbid()
         warm_info = plan.describe(store=store)
         assert warm_info == cold_info
+
+    @pytest.mark.parametrize("suffix", ["csv", "npz"])
+    def test_warm_requests_parse_nothing(self, table, tmp_path, parse_spy,
+                                         suffix):
+        """Warm run, 8-plan run_many and a reopened store: the binding's
+        summary answers kept share and coverage; nothing is parsed."""
+        path = tmp_path / f"edges.{suffix}"
+        write_edges(table, path)
+        plan = flow(str(path), directed=False).method("NC") \
+            .budget(share=0.2).metrics("coverage", "density")
+        grid = {"delta": [1.0, 1.64, 2.0, 3.0], "share": [0.1, 0.2]}
+        cold_grid = plan.run_many(**grid)
+        store = ScoreStore(tmp_path / "cache")
+        cold = plan.run(store=store)
+        assert parse_spy.parses == 2 and cold.table is not None
+        assert cold.base.to_json() == cold.table.summary().to_json()
+        parse_spy.forbid()
+        warm = plan.run(store=store)
+        warm_grid = plan.run_many(store=store, **grid)
+        reopened = plan.run(store=ScoreStore(tmp_path / "cache"))
+        assert len(warm_grid) == 8
+        for got, want in [(warm, cold), (reopened, cold),
+                          *zip(warm_grid, cold_grid)]:
+            assert got.table is None
+            assert got.base.to_json() == want.base.to_json()
+            assert got.backbone == want.backbone
+            assert got.kept_share == want.kept_share
+            assert got.metrics == want.metrics
+
+    def test_warm_daemon_request_parses_nothing(self, edges_csv,
+                                                parse_spy):
+        from repro.serve import BackboneDaemon, ServeClient
+
+        plan = flow(str(edges_csv), directed=False).method("NC", delta=1.5)
+        local = plan.run()
+        with BackboneDaemon(port=0, batch_window=0.01) as daemon:
+            client = ServeClient(port=daemon.port)
+            assert client.run([plan.to_json()])["results"][0]["ok"]
+            parse_spy.forbid()
+            (result,) = client.run([plan.to_json()])["results"]
+        assert result["ok"], result
+        assert result["backbone"]["m"] == local.backbone.m
+        assert result["kept_share"] == local.kept_share
+
+    def test_warm_kv_source_parses_nothing(self, table, tmp_path,
+                                           parse_spy):
+        from repro.flow.sources import clear_fetch_cache
+        from repro.net import SocketKVServer, put_object
+
+        path = tmp_path / "edges.csv"
+        write_edges(table, path)
+        clear_fetch_cache()
+        with SocketKVServer() as server:
+            spec = f"kv://127.0.0.1:{server.port}"
+            url = put_object(spec, "edges.csv", path)
+            plan = flow(url, directed=False).method("NC", delta=1.0)
+            cold = plan.run(store=ScoreStore(spec))
+            parse_spy.forbid()
+            warm = plan.run(store=ScoreStore(spec))
+        assert warm.table is None and warm.base.m == table.m
+        assert warm.backbone == cold.backbone
+
+    def test_rewritten_file_parses_again(self, edges_csv, parse_spy):
+        """The binding is keyed by the file's bytes: new bytes at the
+        same path miss it, parse, and serve the new backbone."""
+        from repro.graph.ingest import read_edges
+
+        store = ScoreStore()
+        plan = flow(str(edges_csv), directed=False).method("NT") \
+            .budget(share=0.5)
+        old = plan.run(store=store)
+        write_edges(random_table(9), edges_csv)
+        new = plan.run(store=store)
+        assert parse_spy.parses == 2 and new.table is not None
+        assert new.backbone == get_method("NT").extract(
+            read_edges(edges_csv, directed=False), share=0.5)
+        assert new.backbone != old.backbone
+
+    def test_binding_without_summary_upgraded_by_one_parse(
+            self, edges_csv, table, tmp_path, parse_spy):
+        from repro.flow.spec import FileSource
+        from repro.pipeline import fingerprint_table
+
+        store = ScoreStore(tmp_path / "cache")
+        source = FileSource(str(edges_csv), directed=False)
+        store.bind_source(source.fingerprint(), fingerprint_table(table))
+        plan = flow(str(edges_csv), directed=False).method("NT") \
+            .budget(share=0.5)
+        first = plan.run(store=store)
+        # One parse; the bound table fingerprint is trusted, not redone.
+        assert parse_spy.parses == 1 and parse_spy.table_hashes == 0
+        parse_spy.forbid()
+        again = plan.run(store=ScoreStore(tmp_path / "cache"))
+        assert again.table is None
+        assert again.base.to_json() == first.base.to_json()
+        assert again.backbone == first.backbone
+
+    def test_streamed_cold_run_binds_the_summary(self, edges_csv, table,
+                                                 parse_spy):
+        """Pass 1 records the same binding, so an in-memory request
+        over the file parses nothing once its scores are cached."""
+        store = ScoreStore()
+        flow(table).method("NC").run(store=store)  # same key, no binding
+        streamed = flow(str(edges_csv), directed=False, streaming=True) \
+            .method("NC").run(store=store)
+        parse_spy.forbid()
+        warm = flow(str(edges_csv), directed=False, streaming=False) \
+            .method("NC").run(store=store)
+        assert warm.table is None
+        assert warm.base.to_json() == streamed.base.to_json()
+        assert warm.backbone == streamed.backbone
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_lazy_parse_failure_fails_only_its_source(self, tmp_path,
+                                                      monkeypatch,
+                                                      workers):
+        from repro.flow.spec import FileSource
+        from repro.serve import serve_isolated
+
+        broken, healthy = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_edges(random_table(1), broken)
+        write_edges(random_table(2), healthy)
+        store = ScoreStore()
+        for path in (broken, healthy):  # bind both sources
+            flow(str(path)).method("NT").budget(share=0.5).run(store=store)
+        expected = {code: flow(str(healthy)).method(code)
+                    .budget(share=0.3).run().backbone
+                    for code in ("NC", "DF")}
+        attempts = []
+        original = FileSource.resolve
+
+        def resolve(self):
+            if self.path == str(broken):
+                attempts.append(self.path)
+                raise OSError("source vanished")
+            return original(self)
+
+        monkeypatch.setattr(FileSource, "resolve", resolve)
+        plans = [flow(str(path)).method(code).budget(share=0.3)
+                 for path in (broken, healthy) for code in ("NC", "DF")]
+        results = serve_isolated(plans, store=store, workers=workers)
+        assert [r.ok for r in results] == [False, False, True, True]
+        assert all(isinstance(r.error, OSError) for r in results[:2])
+        assert attempts == [str(broken)]  # one parse attempt per batch
+        assert [r.backbone for r in results[2:]] \
+            == [expected["NC"], expected["DF"]]
 
     def test_file_url_source(self, edges_csv, table):
         result = flow(f"file://{edges_csv}", directed=False) \
@@ -339,6 +522,44 @@ class TestFileSourceBindings:
     def test_remote_scheme_rejected(self):
         with pytest.raises(ValueError, match="unsupported source scheme"):
             flow("s3://bucket/edges.csv")
+
+
+def loopy_directed_table(seed: int = 3) -> EdgeTable:
+    """Directed, with self-loops, fractional weights and an isolate."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 20, 90)
+    dst = rng.integers(0, 20, 90)
+    dst[:6] = src[:6]
+    src[src == 5] = 6
+    dst[dst == 5] = 6
+    weight = np.round(rng.uniform(0.1, 40.0, 90), 3)
+    return EdgeTable(src, dst, weight, directed=True)
+
+
+class TestWarmColdIdentity:
+    @pytest.mark.parametrize("code,budget", [
+        ("NC", {}), ("NCp", {}), ("DF", {"share": 0.3}),
+        ("NT", {"share": 0.3}), ("MST", {})])
+    def test_warm_results_byte_identical(self, tmp_path, parse_spy, code,
+                                         budget):
+        path = tmp_path / "loopy.csv"
+        write_edges(loopy_directed_table(), path)
+        plan = flow(str(path)).method(code).metrics("coverage", "density")
+        if budget:
+            plan = plan.budget(**budget)
+        store = ScoreStore(tmp_path / "cache")
+        cold = plan.run(store=store)
+        assert cold.table.nonloop_m < cold.table.m  # loops survived
+        parse_spy.forbid()
+        for warm in (plan.run(store=store),
+                     plan.run(store=ScoreStore(tmp_path / "cache"))):
+            assert warm.table is None
+            assert warm.base.to_json() == cold.base.to_json()
+            for column in ("src", "dst", "weight"):
+                assert getattr(warm.backbone, column).tobytes() \
+                    == getattr(cold.backbone, column).tobytes()
+            assert warm.kept_share == cold.kept_share
+            assert warm.metrics == cold.metrics
 
 
 # ----------------------------------------------------------------------
