@@ -510,10 +510,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    series = run_sweep_plans(methods, flow(args.input,
-                                           directed=args.directed),
-                             metric, shares=shares, store=store,
-                             workers=args.workers)
+    try:
+        series = run_sweep_plans(methods, flow(args.input,
+                                               directed=args.directed),
+                                 metric, shares=shares, store=store,
+                                 workers=args.workers)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     header = "share".rjust(7) + "".join(code.rjust(12) for code in codes)
     print(f"{args.metric} across shares of edges kept")

@@ -24,11 +24,15 @@ backend spec strings, ``workers=``). For a batch of plans it
 
 The result, one :class:`CompiledPlan` per plan, is everything
 :func:`repro.flow.serve` needs to schedule scoring and apply filters.
+
+Each plan compiles on its own: a bad plan, or a source that fails
+(tried once per batch), sets the ``error`` of the plans it concerns.
+:func:`repro.flow.serve` raises the first such error, and
+:func:`~repro.flow.serve.serve_compiled` answers it in its plan's slot.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,24 +87,37 @@ class SourceHandle:
 
 @dataclass
 class CompiledPlan:
-    """A plan lowered onto its source handle and score-cache key."""
+    """A plan lowered onto its source handle and score-cache key, or,
+    when it failed to compile, just the plan and its ``error``."""
 
     plan: Plan
-    handle: SourceHandle
-    method: BackboneMethod
-    key: str  # score-cache key (table x score-relevant method config)
-    budget: Optional[FilterSpec]
-    metrics: Tuple
+    handle: Optional[SourceHandle] = None
+    method: Optional[BackboneMethod] = None
+    key: str = ""  # score-cache key (table x score-relevant config)
+    budget: Optional[FilterSpec] = None
+    metrics: Tuple = ()
     #: The out-of-core handle when the plan compiled to the streaming
     #: path (its source handle never parses; the cache key is
     #: unchanged — the stream's fingerprint equals the in-memory
     #: table's).
     stream: Optional[object] = field(default=None, repr=False)
+    error: Optional[Exception] = field(default=None, repr=False)
 
 
 def compile_plans(plans: Sequence[Plan], store: Optional[ScoreStore],
                   allow_streaming: bool = True) -> List[CompiledPlan]:
     """Compile a batch, resolving each distinct source exactly once.
+
+    Returns one :class:`CompiledPlan` per input, in order; a plan that
+    fails to compile carries the exception instead of raising it:
+
+    >>> from repro.flow import flow
+    >>> from repro.graph.edge_table import EdgeTable
+    >>> table = EdgeTable([0, 1], [1, 2], [1.0, 2.0], directed=False)
+    >>> compiled = compile_plans([flow(table).method("NT"), flow(table)],
+    ...                          None)
+    >>> [item.error is None for item in compiled]
+    [True, False]
 
     ``store`` may be ``None`` (no source bindings are read or written,
     so every file source is parsed); callers that want batch
@@ -110,33 +127,35 @@ def compile_plans(plans: Sequence[Plan], store: Optional[ScoreStore],
     materialize full score arrays or only derive keys:
     :meth:`Plan.scores` and :meth:`Plan.describe`).
     """
-    # Source spec -> handle; file sources are hashable frozen specs,
-    # table sources memoize by table identity.
-    handles: Dict[object, SourceHandle] = {}
-    streams: Dict[object, Tuple[SourceHandle, object]] = {}
+    # Source -> handle, or the exception resolving it raised; table
+    # sources memoize by table identity.
+    memo: Dict[object, object] = {}
+    compiled = []
     with span("flow.compile", plans=len(plans)):
-        return [_compile_one(plan, store, handles, streams,
-                             allow_streaming) for plan in plans]
+        for plan in plans:
+            try:
+                compiled.append(_compile_one(plan, store, memo,
+                                             allow_streaming))
+            except Exception as error:
+                compiled.append(CompiledPlan(plan=plan, error=error))
+    return compiled
 
 
-def _compile_one(plan, store, handles, streams,
-                 allow_streaming) -> CompiledPlan:
-    require(isinstance(plan, Plan),
-            f"serve expects Plan objects, got {type(plan).__name__}")
+def _compile_one(plan, store, memo, allow_streaming) -> CompiledPlan:
+    if not isinstance(plan, Plan):
+        raise TypeError(f"expected a Plan, got {type(plan).__name__}")
     require(plan.method_spec is not None,
             "plan has no method; call .method(code) before running")
     method = plan.method_spec.build()
-    stream = None
+    source, stream = plan.source, None
     if _wants_stream(plan, method, allow_streaming):
-        handle, stream = _resolve_stream(plan.source, store, streams)
+        handle, stream = _once(memo, ("stream", source),
+                               lambda: _resolve_stream(source, store))
     else:
-        memo_key = (id(plan.source.table)
-                    if isinstance(plan.source, TableSource)
-                    else plan.source)
-        handle = handles.get(memo_key)
-        if handle is None:
-            handle = handles[memo_key] = _resolve_source(plan.source,
-                                                         store)
+        memo_key = (id(source.table) if isinstance(source, TableSource)
+                    else source)
+        handle = _once(memo, memo_key,
+                       lambda: _resolve_source(source, store))
     key = fingerprint_score_request(None, method,
                                     table_fingerprint=handle.table_fp)
     metrics = tuple(spec.build(handle.summary)
@@ -144,6 +163,23 @@ def _compile_one(plan, store, handles, streams,
     return CompiledPlan(plan=plan, handle=handle, method=method, key=key,
                         budget=plan.budget_spec, metrics=metrics,
                         stream=stream)
+
+
+def _once(memo: Dict[object, object], key, resolve):
+    """``resolve()`` once per key, re-raising a remembered failure."""
+    try:
+        found = memo.get(key)
+    except TypeError:  # unhashable third-party spec: no memoization
+        return resolve()
+    if found is None:
+        try:
+            found = resolve()
+        except Exception as error:
+            found = error
+        memo[key] = found
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def _wants_stream(plan, method, allow_streaming) -> bool:
@@ -193,8 +229,8 @@ def _stream_path(source) -> Path:
     return Path(path)
 
 
-def _resolve_stream(source, store: Optional[ScoreStore], streams):
-    """(source handle, CanonicalStream) for one source, memoized.
+def _resolve_stream(source, store: Optional[ScoreStore]):
+    """(source handle, CanonicalStream) for one source.
 
     Pass 1 always runs — even on a warm store — because scoring needs
     the node aggregates; what warm runs skip is pass-2 scoring (the
@@ -203,12 +239,6 @@ def _resolve_stream(source, store: Optional[ScoreStore], streams):
     the in-memory path, summary included, so a later in-memory request
     over the file parses nothing on a score hit.
     """
-    try:
-        found = streams.get(source)
-    except TypeError:  # unhashable third-party spec: no memoization
-        found = None
-    if found is not None:
-        return found
     source_fp = source.fingerprint()
     fmt = getattr(source, "format", None)
     formatter = getattr(source, "_format", None)
@@ -223,11 +253,8 @@ def _resolve_stream(source, store: Optional[ScoreStore], streams):
         binding = store.source_binding(source_fp)
         if binding is None or binding[1] is None:
             store.bind_source(source_fp, stream.table_fp, stream.summary)
-    found = (SourceHandle(source, source_fp, stream.table_fp,
-                          stream.summary), stream)
-    with suppress(TypeError):
-        streams[source] = found
-    return found
+    return (SourceHandle(source, source_fp, stream.table_fp,
+                         stream.summary), stream)
 
 
 def _resolve_source(source, store: Optional[ScoreStore]) -> SourceHandle:

@@ -167,6 +167,8 @@ class Plan:
         compiled = compile_plans(
             [self], ScoreStore() if store is None else store,
             allow_streaming=False)[0]
+        if compiled.error is not None:
+            raise compiled.error
         # A warm source parses only if the store misses the key.
         return score_with_store(compiled.method, compiled.handle.table,
                                 store, key=compiled.key)
@@ -241,6 +243,8 @@ class Plan:
         compiled = compile_plans(
             [self], ScoreStore() if store is None else store,
             allow_streaming=False)[0]
+        if compiled.error is not None:
+            raise compiled.error
         method = compiled.method
         budget = self.budget_spec or FilterSpec()
         payload: Dict[str, object] = {

@@ -27,9 +27,11 @@ instead of poisoning the batch; :meth:`Plan.run` re-raises it to match
 the legacy single-call path bit for bit. A worker process dying
 mid-batch degrades to a serial re-run of the lost scoring requests
 (see :func:`repro.util.parallel.parallel_map`); it never surfaces a
-raw ``BrokenProcessPool``. :func:`serve_compiled` is the
-already-compiled entry point the long-lived daemon
-(:mod:`repro.serve`) builds on to add compile-time isolation too.
+raw ``BrokenProcessPool``. Compile errors are isolated per plan too
+(:func:`~repro.flow.compile.compile_plans`): :func:`serve` raises the
+first, in plan order, before anything is scored, and
+:func:`serve_compiled`, which the daemon (:mod:`repro.serve`) runs,
+answers each in its plan's slot.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ def serve(plans: Sequence[Plan], store: Optional[ScoreStore] = None,
     deduplication across the batch always happens; pass a persistent
     store (or backend spec via ``ScoreStore("…")``) to reuse scores
     across batches and processes. Results are returned in plan order.
+    The whole batch compiles before the first compile error is raised,
+    so later plans' sources are still hashed (and parsed when cold).
     """
     plans = list(plans)
     if not plans:
@@ -102,6 +106,9 @@ def serve(plans: Sequence[Plan], store: Optional[ScoreStore] = None,
     if store is None:
         store = ScoreStore()
     compiled = compile_plans(plans, store)
+    for item in compiled:
+        if item.error is not None:
+            raise item.error
     return serve_compiled(compiled, store, workers)
 
 
@@ -110,16 +117,20 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
                    workers: Optional[int] = None) -> List[FlowResult]:
     """Score, filter and measure an already-compiled batch.
 
-    The execution half of :func:`serve`, split out so callers that
-    compile with their own isolation policy (the daemon compiles per
-    source group to contain unreadable sources) reuse the exact same
-    scheduling, deduplication and per-plan error handling.
+    The execution half of :func:`serve`. A plan that failed to compile
+    gets a result carrying its compile error in its own slot; every
+    other plan is served as one deduplicated batch.
     """
-    scored_by_key, error_by_key = _score_batch(compiled, store, workers)
+    scored_by_key, error_by_key = _score_batch(
+        [item for item in compiled if item.error is None], store, workers)
     stream_backbones, stream_errors = _serve_streams(
         compiled, scored_by_key, error_by_key)
     results = []
     for index, item in enumerate(compiled):
+        if item.error is not None:
+            results.append(FlowResult(plan=item.plan, cache_key="",
+                                      error=item.error))
+            continue
         result = FlowResult(plan=item.plan, cache_key=item.key,
                             table=item.handle.parsed_table,
                             base=item.handle.summary)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..backbones.base import BackboneMethod
+from ..backbones.doubly_stochastic import SinkhornConvergenceError
 from ..evaluation.sweep import DEFAULT_SHARES, SweepSeries
 from .plan import Plan, flow
 from .serve import FlowResult, serve
@@ -51,10 +52,11 @@ def fold_sweep(methods: Sequence[BackboneMethod],
                ) -> Dict[str, SweepSeries]:
     """Fold served :func:`sweep_plans` results into sweep series.
 
-    Mirrors the legacy conventions exactly: parameter-free methods
-    contribute one point at their natural share, and a method whose
-    scoring is inapplicable (Sinkhorn non-convergence) maps to an
-    empty series.
+    Mirrors the serial :func:`~repro.evaluation.sweep.sweep_methods`
+    exactly: parameter-free methods contribute one point at their
+    natural share, a method whose scoring is inapplicable (Sinkhorn
+    non-convergence) maps to an empty series, and any other plan error
+    is raised, in method order.
     """
     series: Dict[str, SweepSeries] = {}
     cursor = 0
@@ -62,7 +64,10 @@ def fold_sweep(methods: Sequence[BackboneMethod],
         width = 1 if method.parameter_free else len(shares)
         chunk = results[cursor:cursor + width]
         cursor += width
-        if any(result.error is not None for result in chunk):
+        errors = [result.error for result in chunk if not result.ok]
+        if errors and not isinstance(errors[0], SinkhornConvergenceError):
+            raise errors[0]
+        if errors:
             series[method.code] = SweepSeries(code=method.code, shares=[],
                                               values=[],
                                               parameter_free=True)

@@ -6,9 +6,10 @@ one declarative, deduplicated call; this package keeps that machinery
 persistent warm :class:`~repro.pipeline.store.ScoreStore`, a worker
 pool, and an admission window that coalesces concurrent requests from
 different clients into single scoring passes. :class:`ServeClient`
-talks to it; :func:`serve_isolated` is the compile-isolated batch
-engine the daemon runs (usable standalone); :mod:`repro.serve.faults`
-is the chaos harness that proves the degradation story:
+talks to it; :func:`serve_isolated` is the batch engine the daemon
+runs (usable standalone), answering every plan, compile errors
+included, in its own slot; :mod:`repro.serve.faults` is the chaos
+harness that proves the degradation story:
 
 ===========================  =======================================
 failure                      degradation
@@ -17,6 +18,9 @@ cache backend unreachable    memory-only recompute, ``degraded`` flag
 worker process killed        serial retry of the lost shards
 one plan's scoring fails     structured error for that plan only
 malformed plan artifact      structured error for that slot only
+unreadable source, unknown   structured error for that plan's slot;
+method or bad parameter      same-source batchmates still share one
+                             hash and parse
 request deadline expires     504 to that client; batch still warms
                              the store; daemon unaffected
 slow / stalled client        socket read timeout frees the handler

@@ -20,8 +20,9 @@ rather than a script is what it keeps warm and what it survives:
   cancelled without being served; one that expires mid-batch returns a
   structured timeout to its client while the batch completes and warms
   the store for the retry. The daemon stays healthy either way.
-* **Degradation, not collapse.** Per-plan failures come back as
-  structured errors for that plan only (see
+* **Degradation, not collapse.** Per-plan failures, compile errors
+  such as an unreadable source or an unknown method included, come
+  back as structured errors for that plan only (see
   :mod:`repro.serve.engine`); a cache-backend outage flips the store
   to memory-only recompute and the response carries a ``degraded``
   flag; a worker process dying mid-batch is retried serially by the
@@ -62,6 +63,7 @@ Wire protocol (JSON over HTTP; all paths under ``/v1``):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import threading
@@ -397,13 +399,12 @@ class BackboneDaemon:
         trace_root: Optional[Span] = None
         batch_spans: List[Span] = []
         exec_start_pc = time.perf_counter()
+        scope = (trace("serve.batch", plans=len(plans),
+                       clients=len(live))
+                 if any(ticket.trace for ticket in live)
+                 else contextlib.nullcontext())
         try:
-            if any(ticket.trace for ticket in live):
-                with trace("serve.batch", plans=len(plans),
-                           clients=len(live)) as trace_root:
-                    results = serve_isolated(plans, store=self.store,
-                                             workers=self.workers)
-            else:
+            with scope as trace_root:
                 results = serve_isolated(plans, store=self.store,
                                          workers=self.workers)
         except Exception:

@@ -99,8 +99,9 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],
     way, and exceptions raised by ``fn`` propagate unchanged.
 
     Pool *infrastructure* failures — a worker process dying mid-task
-    (``BrokenProcessPool``), a payload that fails to pickle — raise
-    :class:`WorkerPoolError` naming the lost task ids. With
+    or while tasks are still being submitted (``BrokenProcessPool``),
+    a payload that fails to pickle — raise :class:`WorkerPoolError`
+    naming the lost task ids (the unsubmitted ones included). With
     ``retry_serial=True`` the lost tasks are re-run serially in the
     parent process instead, so a crashed worker degrades to slower,
     not broken: the returned list is complete and identical to a fully
@@ -134,14 +135,14 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],
     executor = ProcessPoolExecutor(max_workers=count,
                                    mp_context=_pool_context())
     try:
+        futures = []
         try:
-            futures = [executor.submit(run, payload)
-                       for payload in payloads]
+            for payload in payloads:
+                futures.append(executor.submit(run, payload))
         except (BrokenProcessPool, pickle.PicklingError) as error:
-            _POOL_ERRORS.inc()
-            raise WorkerPoolError(
-                f"could not dispatch tasks to the worker pool: {error}",
-                failed=range(len(items)), cause=error) from error
+            # A worker died while tasks were still being submitted:
+            # the unsubmitted ones are lost like those in flight.
+            cause = error
         fn_error: Optional[BaseException] = None
         for index, future in enumerate(futures):
             try:
@@ -152,6 +153,7 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],
                     cause = error
                 elif fn_error is None:  # fn's own exception
                     fn_error = error
+        failed.extend(range(len(futures), len(items)))
         if fn_error is not None:
             raise fn_error
     finally:

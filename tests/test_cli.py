@@ -144,6 +144,14 @@ class TestSweepCommand:
         assert main(["sweep", str(edges_csv), "--metric", "bogus"]) == 2
         assert "unknown metric" in capsys.readouterr().err
 
+    def test_sweep_reports_a_scoring_error(self, tmp_path, capsys):
+        path = tmp_path / "loops.csv"
+        write_edge_csv(EdgeTable([0, 1], [0, 1], [1.0, 2.0],
+                                 directed=False), path)
+        assert main(["sweep", str(path), "--methods", "NT,NC"]) == 2
+        assert "error: grand_total must be positive" \
+            in capsys.readouterr().err
+
 
 class TestCacheCommand:
     def warm_cache(self, edges_csv, spec):

@@ -835,3 +835,117 @@ class TestServeDetails:
         assert warm.backbone == cold.backbone
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.misses == 0
+
+
+# ----------------------------------------------------------------------
+# One compile policy: every plan compiles on its own
+# ----------------------------------------------------------------------
+
+def edge_bytes(table: EdgeTable):
+    return (table.src.tobytes(), table.dst.tobytes(),
+            table.weight.tobytes(), table.n_nodes, table.directed)
+
+
+class TestOneCompilePolicy:
+    """``compile_plans`` isolates each plan and source; ``serve``
+    raises the first compile error, the daemon's engine answers it in
+    the plan's slot."""
+
+    DELTAS = (1.0, 1.64, 2.0)
+
+    @pytest.fixture()
+    def batch(self, edges_csv, tmp_path):
+        good, missing = str(edges_csv), str(tmp_path / "missing.csv")
+        return ["junk",
+                flow(good),
+                flow(good).method("nc", bogus=1),
+                flow(missing).method("NC"),
+                flow(good, streaming=True).method("MST"),
+                *[flow(good).method("NC", delta=delta)
+                  for delta in self.DELTAS]]
+
+    def test_one_compiled_plan_per_input(self, batch):
+        from repro.flow.compile import compile_plans
+        from repro.stream import StreamingUnsupported
+
+        compiled = compile_plans(batch, ScoreStore())
+        assert len(compiled) == len(batch)
+        assert all(item.plan is plan for item, plan in zip(compiled, batch))
+        assert [type(item.error) for item in compiled[:5]] \
+            == [TypeError, ValueError, TypeError, FileNotFoundError,
+                StreamingUnsupported]
+        assert "expected a Plan" in str(compiled[0].error)
+        assert "has no method" in str(compiled[1].error)
+        good = compiled[5:]
+        assert all(item.error is None for item in good)
+        assert len({id(item.handle) for item in good}) == 1
+
+    def test_a_failing_source_is_tried_once_per_batch(self, edges_csv,
+                                                      tmp_path,
+                                                      monkeypatch):
+        from repro.flow import compile as compile_mod
+        from repro.flow.spec import FileSource
+
+        missing = str(tmp_path / "missing.csv")
+        hashed, opened = [], []
+        original = FileSource.fingerprint
+
+        def fingerprint(self):
+            if self.path == missing:
+                hashed.append(self.path)
+            return original(self)
+
+        def open_stream(path, **options):
+            opened.append(str(path))
+            raise OSError("pass 1 failed")
+
+        monkeypatch.setattr(FileSource, "fingerprint", fingerprint)
+        monkeypatch.setattr(compile_mod, "open_stream", open_stream)
+        plans = [flow(missing).method("NC", delta=delta)
+                 for delta in self.DELTAS] \
+            + [flow(str(edges_csv), streaming=True).method("NC",
+                                                           delta=delta)
+               for delta in self.DELTAS]
+        compiled = compile_mod.compile_plans(plans, ScoreStore())
+        assert hashed == [missing]
+        assert opened == [str(edges_csv)]
+        assert all(isinstance(item.error, FileNotFoundError)
+                   for item in compiled[:3])
+        assert [str(item.error) for item in compiled[3:]] \
+            == ["pass 1 failed"] * 3
+
+    def test_serve_raises_the_first_error_before_scoring(self, batch):
+        store = ScoreStore()
+        with pytest.raises(TypeError, match="expected a Plan"):
+            serve(batch, store=store)
+        with pytest.raises(FileNotFoundError):
+            serve(batch[3:], store=store)
+        assert store.stats.requests == 0
+
+    def test_plan_entry_points_raise_their_compile_error(self, batch):
+        with pytest.raises(FileNotFoundError):
+            batch[3].scores()
+        with pytest.raises(ValueError, match="has no method"):
+            batch[1].describe()
+        with pytest.raises(TypeError, match="bogus"):
+            batch[2].run()
+
+    def test_isolated_healthy_slots_equal_serve_of_healthy_plans(
+            self, batch):
+        from repro.serve import serve_isolated
+        from repro.stream import StreamingUnsupported
+
+        store = ScoreStore()
+        isolated = serve_isolated(batch, store=store)
+        assert len(isolated) == len(batch)
+        assert [type(result.error) for result in isolated[:5]] \
+            == [TypeError, ValueError, TypeError, FileNotFoundError,
+                StreamingUnsupported]
+        assert all(result.cache_key == "" for result in isolated[:5])
+        assert store.stats.puts == 1
+        alone = serve(batch[5:])
+        for got, want in zip(isolated[5:], alone):
+            assert got.ok and want.ok
+            assert edge_bytes(got.backbone) == edge_bytes(want.backbone)
+            assert got.kept_share == want.kept_share
+            assert got.cache_key == want.cache_key

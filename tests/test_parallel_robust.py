@@ -9,9 +9,12 @@ task ids, or are healed transparently by the documented
 """
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.obs.metrics import get_registry
+from repro.util import parallel
 from repro.util.parallel import (WorkerPoolError, chunked, parallel_map,
                                  resolve_workers)
 
@@ -112,3 +115,38 @@ class TestWorkerDeath:
             # in flight; either way it must not hang and must surface
             # as a typed/explicit error, not a raw pool crash.
             parallel_map(square, items, workers=2)
+
+
+class BreaksOnThirdSubmit(parallel.ProcessPoolExecutor):
+    """A pool whose worker dies while the third task is submitted."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        if self.submitted == 3:
+            raise BrokenProcessPool("a worker died during dispatch")
+        return super().submit(*args, **kwargs)
+
+
+class TestPoolBreaksDuringSubmit:
+    def test_unsubmitted_tasks_are_retried_serially(self, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            BreaksOnThirdSubmit)
+        retries = get_registry().counter(
+            "repro_pool_serial_retries_total")
+        before = retries.value()
+        assert parallel_map(square, range(6), workers=2,
+                            retry_serial=True) \
+            == [square(i) for i in range(6)]
+        assert retries.value() == before + 4
+
+    def test_without_retry_every_lost_id_is_named(self, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            BreaksOnThirdSubmit)
+        with pytest.raises(WorkerPoolError) as info:
+            parallel_map(square, range(6), workers=2)
+        assert info.value.failed == (2, 3, 4, 5)
+        assert isinstance(info.value.cause, BrokenProcessPool)

@@ -293,6 +293,21 @@ class TestExecutor:
         assert serial == cached == warm == sharded
         assert store.stats.hits > 0
 
+    def test_cached_and_sharded_raise_what_serial_raises(self):
+        # Self-loops only: NC's grand total is zero. The serial sweep
+        # raises; the cached and sharded sweeps must raise the same
+        # error, not fold it into an empty "n/a" series. (Two methods,
+        # so workers=2 really fans the scoring out.)
+        table = EdgeTable([0, 1], [0, 1], [1.0, 2.0], directed=False)
+        methods = [NaiveThreshold(), NoiseCorrectedBackbone()]
+        with pytest.raises(ValueError, match="grand_total") as serial:
+            sweep_methods(methods, table, DensityMetric())
+        for workers in (None, 2):
+            with pytest.raises(ValueError, match="grand_total") as info:
+                sweep_methods(methods, table, DensityMetric(),
+                              store=ScoreStore(), workers=workers)
+            assert str(info.value) == str(serial.value)
+
     def test_warm_store_skips_rescoring(self, tmp_path, monkeypatch):
         table = random_table(11)
         store = ScoreStore(tmp_path)
