@@ -1,10 +1,10 @@
 """repro.obs — tracing, metrics, and exporters for the whole stack.
 
 Every layer below the daemon already *counts* things — the store has
-:class:`~repro.pipeline.store.CacheStats`, the daemon has
-``DaemonStats``, the worker pool raises typed errors — but nothing
-says *where* a request's time went. This package is the one place
-those signals meet:
+:class:`~repro.pipeline.store.CacheStats`, the worker pool raises
+typed errors — and the daemon keeps its counters as instruments of
+its own registry, but nothing says *where* a request's time went.
+This package is the one place those signals meet:
 
 - :mod:`repro.obs.trace` — ``Span``/``Tracer`` with wall and CPU
   time, propagated through ``contextvars`` and, via a picklable

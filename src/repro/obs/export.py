@@ -90,12 +90,24 @@ def render_prometheus(
     return render_families(families)
 
 
+#: A quoted label value's body: any character but a quote or a
+#: backslash, or a backslash escape. A ``}`` inside the quotes does not
+#: end the label block.
+_LABEL_VALUE = r'(?:[^"\\]|\\.)*'
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
+    rf'(?:\{{(?P<labels>(?:[^"}}]|"{_LABEL_VALUE}")*)\}})?'
     r"\s+(?P<value>\S+)\s*$")
 _LABEL_PAIR_RE = re.compile(
-    r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+    rf'([a-zA-Z_][a-zA-Z0-9_]*)="({_LABEL_VALUE})"')
+_ESCAPE_RE = re.compile(r"\\(.)")
+_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n"}
+
+
+def _unescape_label_value(text: str) -> str:
+    """Undo :func:`_escape_label_value`, one escape at a time."""
+    return _ESCAPE_RE.sub(
+        lambda m: _UNESCAPED.get(m.group(1), m.group(0)), text)
 
 
 def parse_prometheus(
@@ -137,9 +149,7 @@ def parse_prometheus(
                 raise ValueError(
                     f"line {number}: malformed labels "
                     f"{raw_labels!r}")
-            labels = tuple((k, v.replace(r'\"', '"')
-                            .replace(r"\n", "\n")
-                            .replace("\\\\", "\\"))
+            labels = tuple((k, _unescape_label_value(v))
                            for k, v in pairs)
         series[match.group("name")][labels] = value
     return dict(series)

@@ -9,9 +9,9 @@ Three instrument kinds, mirroring the Prometheus data model:
 
 A :class:`MetricsRegistry` owns instruments by name and can also host
 *collectors* — callables returning :class:`MetricFamily` rows built
-on demand from existing stats objects (``CacheStats``, daemon
-counters), which is how the legacy per-subsystem stats are unified
-behind one scrape without rewriting their call sites.
+on demand from values the registry does not own. The daemon keeps its
+own counters as instruments and uses one collector, for its score
+store's plain ``CacheStats``.
 
 Every instrument takes its own lock around mutation, so increments
 from handler threads, the batcher and the probe ticker never drop

@@ -90,8 +90,9 @@ class CacheStats:
     negative_puts: int = 0
     #: Backend outages survived (terminal ``KVUnavailableError``s).
     backend_failures: int = 0
-    #: True once the persistent tier has been dropped mid-flight and
-    #: the store is serving memory-only (see ``ScoreStore.degraded``).
+    #: The owning store's state, not traffic: True while its
+    #: persistent tier is down and it serves memory-only (see
+    #: ``ScoreStore.degraded``, the only writer).
     degraded: bool = False
 
     @property
@@ -111,7 +112,8 @@ class CacheStats:
         return answered / self.requests if self.requests else 0.0
 
     def merge(self, other: "CacheStats") -> None:
-        """Fold another stats object (e.g. a worker's) into this one."""
+        """Add another stats object's counters (e.g. a worker's) into
+        this one; ``degraded`` stays this store's own state."""
         self.memory_hits += other.memory_hits
         self.disk_hits += other.disk_hits
         self.misses += other.misses
@@ -121,7 +123,6 @@ class CacheStats:
         self.negative_hits += other.negative_hits
         self.negative_puts += other.negative_puts
         self.backend_failures += other.backend_failures
-        self.degraded = self.degraded or other.degraded
 
     def summary(self) -> str:
         """One-line human-readable account."""
@@ -172,7 +173,6 @@ class ScoreStore:
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, object]" = OrderedDict()
         self._sources: dict = {}
-        self._degraded = False
 
     # ------------------------------------------------------------------
     # Degradation (cache outages must never fail a scoring request)
@@ -190,7 +190,7 @@ class ScoreStore:
         tier plus recompute. :meth:`probe_backend` re-checks the
         backend and clears the flag when the service is back.
         """
-        return self._degraded
+        return self.stats.degraded
 
     def probe_backend(self) -> bool:
         """Re-check a degraded backend; clear the flag if it answers.
@@ -200,13 +200,12 @@ class ScoreStore:
         """
         if self.backend is None:
             return False
-        if not self._degraded:
+        if not self.stats.degraded:
             return True
         try:
             self.backend.contains("__repro_probe__")
         except KVUnavailableError:
             return False
-        self._degraded = False
         self.stats.degraded = False
         _REARM_EVENTS.inc()
         logger.warning("score-store backend answered a probe; leaving "
@@ -215,8 +214,7 @@ class ScoreStore:
 
     def _mark_degraded(self, error: Exception) -> None:
         self.stats.backend_failures += 1
-        if not self._degraded:
-            self._degraded = True
+        if not self.stats.degraded:
             self.stats.degraded = True
             _DEGRADED_EVENTS.inc()
             logger.warning(
@@ -224,7 +222,7 @@ class ScoreStore:
                 "memory-only operation", error)
 
     def _backend_usable(self) -> bool:
-        return self.backend is not None and not self._degraded
+        return self.backend is not None and not self.stats.degraded
 
     # ------------------------------------------------------------------
     # Lookup / insert

@@ -32,13 +32,12 @@ from types import ModuleType
 
 from ..flow import serve as _serve_batch
 from .client import ServeClient, ServeError
-from .daemon import (PROTOCOL_VERSION, BackboneDaemon, DaemonStats,
-                     DeadlineExceeded)
+from .daemon import PROTOCOL_VERSION, BackboneDaemon, DeadlineExceeded
 from .engine import serve_isolated
 
 __all__ = [
-    "BackboneDaemon", "DaemonStats", "DeadlineExceeded",
-    "PROTOCOL_VERSION", "ServeClient", "ServeError", "serve_isolated",
+    "BackboneDaemon", "DeadlineExceeded", "PROTOCOL_VERSION",
+    "ServeClient", "ServeError", "serve_isolated",
 ]
 
 

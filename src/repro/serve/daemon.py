@@ -32,10 +32,13 @@ rather than a script is what it keeps warm and what it survives:
   that stalls mid-request occupies one handler thread for at most
   ``request_timeout`` seconds, not forever.
 
-* **Observability** (:mod:`repro.obs`). Every counter goes through a
-  threadsafe :class:`DaemonStats`; ``GET /v1/metrics`` serves the
-  Prometheus text exposition over the daemon's registry *and* the
-  process registry (pool retries, KV retries, store degradation);
+* **Observability** (:mod:`repro.obs`). Every daemon counter is a
+  :class:`~repro.obs.metrics.Counter` in the daemon's own registry,
+  and ``GET /v1/status`` reads those same instruments; ``GET
+  /v1/metrics`` serves the Prometheus text exposition over that
+  registry *and* the process registry (pool retries, KV retries,
+  store degradation), with the store's ``CacheStats`` exported by a
+  collector;
   a request carrying ``"trace": true`` gets a JSON trace artifact —
   admission wait, compile, parse, scoring (worker spans included),
   extraction, store access — attached to its response; requests
@@ -66,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -93,8 +97,20 @@ class DeadlineExceeded(RuntimeError):
     """A request's deadline passed before its results were ready."""
 
 
-#: DaemonStats counter fields and their metric help text (each is
-#: exported as ``repro_daemon_<field>_total``).
+def _check_deadline(seconds: float) -> float:
+    """A deadline budget in seconds (a negative one has already
+    expired); :class:`ValueError` if no wait could honour it."""
+    budget = float(seconds)
+    if not (math.isfinite(budget) and budget <= threading.TIMEOUT_MAX):
+        raise ValueError(f"deadline must be a finite number of seconds "
+                         f"up to {threading.TIMEOUT_MAX:g}, got {budget}")
+    return budget
+
+
+#: Daemon counters and their help text; each is a counter in the
+#: daemon's registry named ``repro_daemon_<name>_total``. ``served``
+#: and ``cancelled`` are exclusive per-ticket outcomes, so
+#: ``requests == served + cancelled`` once the queue drains.
 _STAT_HELP = {
     "requests": "POST /v1/run requests admitted.",
     "plans": "Plan slots served (structured errors included).",
@@ -113,57 +129,11 @@ _STAT_HELP = {
 }
 
 
-class DaemonStats:
-    """Threadsafe counters over one daemon lifetime.
-
-    Handler threads, the batcher and the probe ticker all increment
-    concurrently, so every mutation goes through :meth:`inc` under
-    one lock — a bare ``+=`` from two threads can drop updates.
-    Plain attribute reads (``stats.cancelled``) keep working.
-
-    ``served`` and ``cancelled`` are the mutually exclusive per-ticket
-    *outcomes* the batcher assigns, so once the queue is drained
-    ``requests == served + cancelled`` holds exactly (the consistency
-    contract the concurrent-clients test asserts).
-    ``deadline_misses`` counts *clients* that stopped waiting and is
-    orthogonal: a missed request's batch usually still serves its
-    ticket and warms the store.
-    """
-
-    FIELDS = tuple(_STAT_HELP)
-
-    def __init__(self):
-        self.started = time.time()
-        self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self.FIELDS, 0)
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += amount
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def __getattr__(self, name: str):
-        counts = self.__dict__.get("_counts")
-        if counts is not None and name in counts:
-            with self.__dict__["_lock"]:
-                return counts[name]
-        raise AttributeError(name)
-
-    def payload(self) -> Dict[str, object]:
-        snap = self.snapshot()
-        snap["uptime_s"] = max(0.0, time.time() - self.started)
-        return snap
-
-
 class _Ticket:
     """One client request waiting for its slice of a batch."""
 
     __slots__ = ("plans", "deadline", "event", "results", "batch",
-                 "trace", "enqueued_unix", "enqueued_pc", "artifact",
-                 "outcome")
+                 "trace", "enqueued_unix", "enqueued_pc", "artifact")
 
     def __init__(self, plans: List[Plan], deadline: float,
                  trace: bool = False):
@@ -176,9 +146,6 @@ class _Ticket:
         self.enqueued_unix = time.time()
         self.enqueued_pc = time.perf_counter()
         self.artifact: Optional[Dict[str, Any]] = None
-        #: "served" or "cancelled", assigned exactly once by the
-        #: batcher (the client never claims an outcome).
-        self.outcome: Optional[str] = None
 
 
 class BackboneDaemon:
@@ -227,13 +194,13 @@ class BackboneDaemon:
         self.store = store
         self.workers = workers
         self.batch_window = float(batch_window)
-        self.default_deadline = float(default_deadline)
+        self.default_deadline = _check_deadline(default_deadline)
         self.request_timeout = float(request_timeout)
         self.slow_request_s = None if slow_request_s is None \
             else float(slow_request_s)
         self.probe_interval = None if not probe_interval \
             else float(probe_interval)
-        self.stats = DaemonStats()
+        self.started = time.time()
         self.registry = MetricsRegistry()
         self._queue_hist = self.registry.histogram(
             "repro_daemon_queue_wait_seconds",
@@ -244,7 +211,17 @@ class BackboneDaemon:
         self._request_hist = self.registry.histogram(
             "repro_daemon_request_seconds",
             "Admission-to-results latency per served request.")
-        self.registry.register_collector(self._collect_families)
+        self._counters = {
+            name: self.registry.counter(f"repro_daemon_{name}_total",
+                                        text)
+            for name, text in _STAT_HELP.items()}
+        self._uptime = self.registry.gauge(
+            "repro_daemon_uptime_seconds",
+            "Seconds since the daemon started.")
+        self._depth = self.registry.gauge(
+            "repro_daemon_pending_requests",
+            "Requests queued in the admission window.")
+        self.registry.register_collector(self._store_families)
         self._host, self._port = host, int(port)
         self._cond = threading.Condition()
         self._pending: List[_Ticket] = []
@@ -334,7 +311,9 @@ class BackboneDaemon:
 
         Raises :class:`DeadlineExceeded` when the deadline passes
         first — the batch keeps running and warms the store, so a
-        retry is cheap; the daemon is unaffected.
+        retry is cheap; the daemon is unaffected. A deadline that is
+        not finite or exceeds ``threading.TIMEOUT_MAX`` raises
+        :class:`ValueError` before anything is admitted.
         """
         return self._await(self._admit(plans, deadline))
 
@@ -342,7 +321,7 @@ class BackboneDaemon:
                deadline: Optional[float],
                trace: bool = False) -> _Ticket:
         budget = self.default_deadline if deadline is None \
-            else float(deadline)
+            else _check_deadline(deadline)
         budget = max(0.0, budget)
         ticket = _Ticket(list(plans), time.monotonic() + budget,
                          trace=trace)
@@ -351,13 +330,13 @@ class BackboneDaemon:
                 raise RuntimeError("daemon is shutting down")
             self._pending.append(ticket)
             self._cond.notify_all()
-        self.stats.inc("requests")
+        self._counters["requests"].inc()
         return ticket
 
     def _await(self, ticket: _Ticket) -> List[FlowResult]:
         budget = max(0.0, ticket.deadline - time.monotonic())
         if not ticket.event.wait(timeout=budget):
-            self.stats.inc("deadline_misses")
+            self._counters["deadline_misses"].inc()
             raise DeadlineExceeded(
                 "request missed its deadline; the batch continues in "
                 "the background and warms the cache for a retry")
@@ -387,8 +366,7 @@ class BackboneDaemon:
         for ticket in tickets:
             if ticket.deadline <= now:
                 # Cancelled: its plans are never served.
-                ticket.outcome = "cancelled"
-                self.stats.inc("cancelled")
+                self._counters["cancelled"].inc()
                 ticket.event.set()
             else:
                 live.append(ticket)
@@ -412,17 +390,17 @@ class BackboneDaemon:
             # genuine engine bug. Fail these requests, not the daemon.
             logger.exception("batch execution failed; failing %d "
                              "requests and continuing", len(live))
-            self.stats.inc("batch_failures")
+            self._counters["batch_failures"].inc()
             results = None
         if trace_root is not None:
             batch_spans = TRACER.pop(trace_root.trace_id)
         end_pc = time.perf_counter()
         batch_s = end_pc - exec_start_pc
         self._batch_hist.observe(batch_s)
-        self.stats.inc("batches")
+        self._counters["batches"].inc()
         if len(live) > 1:
-            self.stats.inc("coalesced_batches")
-        self.stats.inc("plans", len(plans))
+            self._counters["coalesced_batches"].inc()
+        self._counters["plans"].inc(len(plans))
         cursor = 0
         for ticket in live:
             count = len(ticket.plans)
@@ -439,7 +417,7 @@ class BackboneDaemon:
             errors = sum(1 for result in ticket.results
                          if not result.ok)
             if errors:
-                self.stats.inc("plan_errors", errors)
+                self._counters["plan_errors"].inc(errors)
             queue_wait = max(0.0, exec_start_pc - ticket.enqueued_pc)
             total_s = end_pc - ticket.enqueued_pc
             self._queue_hist.observe(queue_wait)
@@ -448,11 +426,10 @@ class BackboneDaemon:
                 ticket.artifact = _trace_artifact(
                     ticket, trace_root, batch_spans, queue_wait,
                     total_s, self.batch_window)
-            ticket.outcome = "served"
-            self.stats.inc("served")
+            self._counters["served"].inc()
             if self.slow_request_s is not None \
                     and total_s >= self.slow_request_s:
-                self.stats.inc("slow_requests")
+                self._counters["slow_requests"].inc()
                 logger.warning(
                     "slow request: %.3fs end to end (%.3fs queued, "
                     "%.3fs batch) for %d plan(s)",
@@ -464,7 +441,7 @@ class BackboneDaemon:
         # probe_backend() is a no-op on a healthy store.
         while not self._probe_stop.wait(self.probe_interval):
             if self.store.degraded and self.store.probe_backend():
-                self.stats.inc("probe_rearms")
+                self._counters["probe_rearms"].inc()
                 logger.info("background probe re-armed the score "
                             "store's backend")
 
@@ -476,25 +453,16 @@ class BackboneDaemon:
         """The ``GET /v1/metrics`` Prometheus text exposition:
         the daemon's own registry layered over the process-wide one
         (pool, KV and store-degradation series)."""
+        self._uptime.set(max(0.0, time.time() - self.started))
+        with self._cond:
+            self._depth.set(len(self._pending))
         return render_prometheus([get_registry(), self.registry])
 
-    def _collect_families(self):
-        snap = self.stats.snapshot()
-        families = [
-            make_family("counter", f"repro_daemon_{name}_total",
-                        _STAT_HELP[name], count)
-            for name, count in snap.items()]
-        families.append(make_family(
-            "gauge", "repro_daemon_uptime_seconds",
-            "Seconds since the daemon started.",
-            max(0.0, time.time() - self.stats.started)))
-        with self._cond:
-            depth = len(self._pending)
-        families.append(make_family(
-            "gauge", "repro_daemon_pending_requests",
-            "Requests queued in the admission window.", depth))
+    def _store_families(self):
+        # The store owns its CacheStats (workers ship theirs back to be
+        # merged), so its counters are read at scrape time.
         stats = self.store.stats
-        families.extend([
+        return [
             make_family("counter", "repro_cache_hits_total",
                         "Score-store hits by tier.",
                         [({"tier": "memory"}, stats.memory_hits),
@@ -524,15 +492,30 @@ class BackboneDaemon:
             make_family("gauge", "repro_cache_degraded",
                         "1 while the store is memory-only degraded.",
                         1.0 if self.store.degraded else 0.0),
-        ])
-        return families
+        ]
 
     def status(self) -> Dict[str, object]:
-        """The ``GET /v1/status`` payload."""
+        """The ``GET /v1/status`` payload.
+
+        ``"daemon"`` reads the same counters ``GET /v1/metrics``
+        exports, plus ``uptime_s``:
+
+        >>> daemon = BackboneDaemon()  # never started: no socket, no thread
+        >>> counters = daemon.status()["daemon"]
+        >>> uptime = counters.pop("uptime_s")
+        >>> len(counters), set(counters.values())
+        (11, {0})
+        >>> "repro_daemon_requests_total 0" in daemon.metrics_text()
+        True
+        """
         stats = self.store.stats
+        counters: Dict[str, object] = {
+            name: int(counter.value())
+            for name, counter in self._counters.items()}
+        counters["uptime_s"] = max(0.0, time.time() - self.started)
         return {
             "protocol": PROTOCOL_VERSION,
-            "daemon": self.stats.payload(),
+            "daemon": counters,
             "degraded": self.store.degraded,
             "store": {
                 "summary": stats.summary(),
@@ -687,9 +670,10 @@ def _make_handler(daemon: BackboneDaemon):
                 return
             try:
                 deadline = None if body.get("deadline") is None \
-                    else float(body["deadline"])
+                    else _check_deadline(body["deadline"])
             except (TypeError, ValueError):
-                self._fail(400, "BadRequest", "deadline must be a number")
+                self._fail(400, "BadRequest", "deadline must be a finite "
+                           "number of seconds")
                 return
 
             # Per-plan parse isolation: a malformed artifact fails its

@@ -23,7 +23,7 @@ from repro.graph.edge_table import EdgeTable
 from repro.pipeline.backends import (InMemoryKVServer, KVBackend,
                                      KVTimeoutError, KVTransientError,
                                      KVUnavailableError)
-from repro.pipeline.store import ScoreStore
+from repro.pipeline.store import CacheStats, ScoreStore
 from repro.serve.faults import FlakyBackend
 
 
@@ -274,6 +274,17 @@ class TestStoreDegradation:
         assert len(calls) == 1, "memory tier must still deduplicate"
         assert second is not None
         assert store.degraded
+
+    def test_merged_worker_stats_leave_parent_flag_alone(self):
+        """A worker whose backend failed ships ``degraded=True``; the
+        parent still has a working backend, so only the failure count
+        folds in."""
+        store = ScoreStore(backend=KVBackend(InMemoryKVServer()))
+        store.stats.merge(CacheStats(backend_failures=1, degraded=True))
+        assert not store.degraded
+        assert not store.stats.degraded
+        assert store.stats.backend_failures == 1
+        assert "DEGRADED" not in store.stats.summary()
 
     def test_worker_spec_is_none_when_degraded(self):
         store, flaky = self._store_with_flaky()

@@ -177,6 +177,20 @@ class TestExposition:
         series = parse_prometheus(registry.render())
         assert series["repro_esc_total"][(("path", 'a"b\\c'),)] == 1.0
 
+    def test_hostile_label_values_round_trip_unchanged(self):
+        values = ["C:\\new", "C:\\\\new", "trailing\\", "\\n",
+                  'say "hi"', '\\"', "two\nlines", "}", "a} 7",
+                  '{"k": 1}', ""]
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_rt_total", "",
+                                   labels=("path", "op"))
+        for count, value in enumerate(values, start=1):
+            counter.inc(count, path=value, op=value[::-1])
+        series = parse_prometheus(registry.render())
+        assert series["repro_rt_total"] == {
+            (("path", value), ("op", value[::-1])): float(count)
+            for count, value in enumerate(values, start=1)}
+
 
 # ----------------------------------------------------------------------
 # Tracing core

@@ -7,8 +7,10 @@
   parse, scoring (including spans recorded in worker processes),
   extraction, store access — with stage durations summing to roughly
   the request wall time;
-- ``DaemonStats`` stays consistent under concurrent clients:
-  ``requests == served + cancelled`` once the queue drains;
+- the daemon's counters, registry instruments read by both
+  ``/v1/status`` and ``/v1/metrics``, stay consistent under
+  concurrent clients (``requests == served + cancelled`` once the
+  queue drains) and read the same in both views;
 - a backend outage moves the degradation series and the background
   probe ticker re-arms the store without client traffic;
 - requests slower than ``slow_request_s`` are logged and counted.
@@ -19,18 +21,20 @@ import logging
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.flow import flow
+from repro.flow.spec import MethodSpec
 from repro.graph.edge_table import EdgeTable
 from repro.graph.ingest import write_edges
 from repro.obs import get_registry, parse_prometheus
 from repro.pipeline.backends import InMemoryKVServer, KVBackend
 from repro.pipeline.store import ScoreStore
 from repro.serve import BackboneDaemon, ServeClient
-from repro.serve.daemon import DeadlineExceeded
+from repro.serve.daemon import _STAT_HELP, DeadlineExceeded
 from repro.serve.faults import FlakyBackend
 
 
@@ -185,17 +189,51 @@ class TestConcurrentConsistency:
             # drain, then the books must balance exactly.
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
-                snap = daemon.stats.snapshot()
+                snap = daemon.status()["daemon"]
                 if snap["served"] + snap["cancelled"] == 7:
                     break
                 time.sleep(0.01)
-        snap = daemon.stats.snapshot()
+        snap = daemon.status()["daemon"]
         assert snap["requests"] == 7
         assert snap["served"] + snap["cancelled"] == snap["requests"]
         assert snap["served"] >= 4
         assert outcomes == [True] * 4
         # Cancelled tickets belonged to clients that stopped waiting.
         assert snap["deadline_misses"] >= snap["cancelled"]
+
+
+class TestStatusMatchesMetrics:
+    @staticmethod
+    def views(client):
+        status = client.status()["daemon"]
+        series = parse_prometheus(client.metrics())
+        return ({name: status[name] for name in _STAT_HELP},
+                {name: total(series, f"repro_daemon_{name}_total")
+                 for name in _STAT_HELP})
+
+    def test_every_counter_reads_the_same_in_both_views(self, tmp_path):
+        good = flow(edges_file(tmp_path, 28)).method("NT") \
+            .budget(share=0.3)
+        unknown = replace(good, method_spec=MethodSpec("NOPE"))
+        with BackboneDaemon(port=0, batch_window=0.05, probe_interval=0,
+                            slow_request_s=0.0) as daemon:
+            client = ServeClient(port=daemon.port)
+            status, metrics = self.views(client)
+            assert status == metrics == dict.fromkeys(_STAT_HELP, 0)
+            served = daemon.submit([good, unknown])
+            assert served[0].ok and not served[1].ok
+            with pytest.raises(DeadlineExceeded):
+                daemon.submit([good], deadline=0.0)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                snap = client.status()["daemon"]
+                if snap["served"] + snap["cancelled"] == 2:
+                    break
+                time.sleep(0.01)
+            status, metrics = self.views(client)
+        assert status == metrics
+        assert (status["requests"], status["served"],
+                status["cancelled"], status["plan_errors"]) == (2, 1, 1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +277,7 @@ class TestChaosScrape:
             assert total(series, "repro_cache_degraded") == 0
             assert total(series,
                          "repro_daemon_probe_rearms_total") >= 1
-        assert daemon.stats.probe_rearms >= 1
+        assert daemon.status()["daemon"]["probe_rearms"] >= 1
         assert rearm_counter.value() >= rearms_before + 1
 
     def test_probe_ticker_can_be_disabled(self):

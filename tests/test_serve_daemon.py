@@ -210,12 +210,32 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceeded):
                 daemon.submit([plan])
             for _ in range(100):
-                stats = daemon.stats
-                if stats.cancelled or stats.batches:
+                stats = daemon.status()["daemon"]
+                if stats["cancelled"] or stats["batches"]:
                     break
                 threading.Event().wait(0.02)
-            assert daemon.stats.cancelled == 1, \
+            assert daemon.status()["daemon"]["cancelled"] == 1, \
                 "an expired queued ticket must be dropped, not served"
+
+    @pytest.mark.parametrize("deadline", [1e308, float("inf")])
+    def test_unbounded_deadline_is_400_before_admission(
+            self, edges_csv, daemon, client, deadline):
+        # The client sends these as 1e+308 and Infinity.
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with pytest.raises(ServeError) as info:
+            client.run([plan.to_json()], deadline=deadline)
+        assert (info.value.status, info.value.kind) == (400, "BadRequest")
+        assert client.status()["daemon"]["requests"] == 0
+        assert client.healthy()
+
+    def test_submit_rejects_unbounded_deadline(self, edges_csv, daemon):
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with pytest.raises(ValueError, match="finite"):
+            daemon.submit([plan], deadline=float("inf"))
+        assert daemon.status()["daemon"]["requests"] == 0
+        # A negative deadline has simply already expired.
+        with pytest.raises(DeadlineExceeded):
+            daemon.submit([plan], deadline=-1.0)
 
 
 class TestLifecycle:
