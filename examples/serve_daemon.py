@@ -4,7 +4,7 @@ Starts a real ``repro.serve.BackboneDaemon`` on a free port, then
 walks the service story of ISSUE 6:
 
 1. concurrent clients request eight NC strictnesses over one file and
-   the daemon's admission window coalesces them into a single scoring
+   the daemon's batches and its store turn them into a single scoring
    pass (the shared store proves it: one miss, one put);
 2. a warm repeat of the same requests is served from cache;
 3. the cache backend is taken down mid-session — the daemon degrades
@@ -60,7 +60,7 @@ for thread in threads:
     thread.join()
 
 kept = [r["results"][0]["backbone"]["m"] for r in replies]
-print(f"\ncoalesced batch: {len(DELTAS)} clients, kept edges {kept}")
+print(f"\n{len(DELTAS)} concurrent clients, kept edges {kept}")
 print(f"scoring passes (store puts): {store.stats.puts}")
 
 # --- 2. Warm repeat: served from cache.

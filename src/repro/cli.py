@@ -295,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="default per-request deadline in "
                                   "seconds (default 30)")
     serve_start.add_argument("--batch-window", type=float, default=0.05,
-                             help="admission window in seconds over "
-                                  "which concurrent requests coalesce "
-                                  "into one batch (default 0.05)")
+                             help="accepted and reported in status, "
+                                  "but unused: a batch starts as soon "
+                                  "as a request is queued")
     serve_start.add_argument("--slow-request", type=float,
                              help="log a warning (and count it) for "
                                   "requests slower end-to-end than "

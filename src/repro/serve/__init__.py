@@ -4,8 +4,8 @@ The flow layer (:mod:`repro.flow`) made a batch of backbone requests
 one declarative, deduplicated call; this package keeps that machinery
 *running*: :class:`BackboneDaemon` is a stdlib-only HTTP service with a
 persistent warm :class:`~repro.pipeline.store.ScoreStore`, a worker
-pool, and an admission window that coalesces concurrent requests from
-different clients into single scoring passes. :class:`ServeClient`
+pool, and a batcher that coalesces queued requests from different
+clients into single scoring passes. :class:`ServeClient`
 talks to it; :func:`serve_isolated` is the batch engine the daemon
 runs (usable standalone), answering every plan, compile errors
 included, in its own slot; :mod:`repro.serve.faults` is the chaos

@@ -10,11 +10,12 @@ rather than a script is what it keeps warm and what it survives:
   one ``workers=`` preference live across requests, so the second
   client to ask for a scored table gets it from cache, whichever
   client paid for it.
-* **Admission window.** Requests arriving within ``batch_window``
-  seconds are coalesced into a single
+* **Batching.** A batch starts as soon as a request is queued, and
+  the requests that queue while it runs share the next
   :func:`~repro.serve.engine.serve_isolated` batch, which dedupes
-  source parsing and scoring *across clients*: eight clients asking
-  for eight NC deltas over one file trigger exactly one scoring pass.
+  source parsing and scoring *across clients*. A later batch finds
+  an earlier one's scores in the store, so eight clients asking for
+  eight NC deltas over one file trigger exactly one scoring pass.
 * **Deadlines.** Every request carries a deadline (client-supplied or
   the daemon default). A request whose deadline passes while queued is
   cancelled without being served; one that expires mid-batch returns a
@@ -119,7 +120,8 @@ _STAT_HELP = {
     "coalesced_batches": "Batches that merged two or more requests.",
     "cancelled":
         "Tickets dropped with an expired deadline while queued.",
-    "deadline_misses": "Clients that timed out waiting for results.",
+    "deadline_misses": "Requests answered DeadlineExceeded: timed out "
+                       "waiting, or cancelled while queued.",
     "batch_failures": "Whole-batch engine failures survived.",
     "served": "Tickets answered with results.",
     "slow_requests":
@@ -162,8 +164,8 @@ class BackboneDaemon:
     workers:
         Process fan-out for cold scoring, as everywhere else.
     batch_window:
-        Admission window in seconds: how long a batch waits for
-        fellow-traveler requests before executing.
+        Accepted and reported (``status()["config"]``) but no longer
+        used: a batch starts as soon as a request is queued.
     default_deadline:
         Request deadline applied when the client sends none.
     request_timeout:
@@ -204,7 +206,7 @@ class BackboneDaemon:
         self.registry = MetricsRegistry()
         self._queue_hist = self.registry.histogram(
             "repro_daemon_queue_wait_seconds",
-            "Time requests spend queued in the admission window.")
+            "Time requests spend queued before their batch starts.")
         self._batch_hist = self.registry.histogram(
             "repro_daemon_batch_exec_seconds",
             "serve_isolated execution time per batch.")
@@ -220,7 +222,7 @@ class BackboneDaemon:
             "Seconds since the daemon started.")
         self._depth = self.registry.gauge(
             "repro_daemon_pending_requests",
-            "Requests queued in the admission window.")
+            "Requests queued for the next batch.")
         self.registry.register_collector(self._store_families)
         self._host, self._port = host, int(port)
         self._cond = threading.Condition()
@@ -341,6 +343,7 @@ class BackboneDaemon:
                 "request missed its deadline; the batch continues in "
                 "the background and warms the cache for a retry")
         if ticket.results is None:  # cancelled while queued
+            self._counters["deadline_misses"].inc()
             raise DeadlineExceeded(
                 "request deadline expired before its batch started")
         return ticket.results
@@ -350,15 +353,10 @@ class BackboneDaemon:
             with self._cond:
                 while not self._pending and not self._stopping:
                     self._cond.wait()
-                if not self._pending and self._stopping:
+                if not self._pending:
                     return
-            # Admission window: let same-window requests pile in.
-            if self.batch_window > 0 and not self._stopping:
-                time.sleep(self.batch_window)
-            with self._cond:
                 tickets, self._pending = self._pending, []
-            if tickets:
-                self._execute(tickets)
+            self._execute(tickets)
 
     def _execute(self, tickets: List[_Ticket]) -> None:
         now = time.monotonic()

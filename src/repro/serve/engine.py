@@ -4,7 +4,7 @@
 over :func:`~repro.flow.compile.compile_plans`, both of which isolate
 failures per plan. Unlike :func:`repro.flow.serve`, it never raises
 for a bad plan, so one client's typo cannot fail the other clients in
-the daemon's admission window.
+the daemon's batch.
 """
 
 from __future__ import annotations

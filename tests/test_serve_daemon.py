@@ -8,8 +8,11 @@ requesting N deltas over one source produce exactly one scoring pass,
 verified against the shared store's traffic counters.
 """
 
+import http.client
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +34,41 @@ def random_table(seed=0, n_nodes=24, n_edges=90):
     dst = rng.integers(0, n_nodes, n_edges)
     weight = rng.integers(1, 60, n_edges).astype(float)
     return EdgeTable(src, dst, weight, n_nodes=n_nodes, directed=False)
+
+
+def wait_until(condition, timeout=10.0):
+    """Poll ``condition`` until it holds; fail after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class StalledRun:
+    """A raw-socket ``POST /v1/run`` that stops after its headers and
+    the first 10 body bytes, until :meth:`finish` sends the rest and
+    reads the reply."""
+
+    def __init__(self, port, plan):
+        self.body = json.dumps(
+            {"plans": [json.loads(plan.to_json())]}).encode()
+        self.sock = socket.create_connection(("127.0.0.1", port),
+                                             timeout=30.0)
+        self.sock.sendall(
+            b"POST /v1/run HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(self.body)
+            + self.body[:10])
+
+    def finish(self):
+        try:
+            self.sock.sendall(self.body[10:])
+            response = http.client.HTTPResponse(self.sock)
+            response.begin()
+            assert response.status == 200
+            return json.loads(response.read())
+        finally:
+            self.sock.close()
 
 
 @pytest.fixture()
@@ -203,19 +241,42 @@ class TestDeadlines:
         assert store.stats.hits >= 1
 
     def test_queued_ticket_cancelled_after_deadline(self, edges_csv):
+        table = random_table(5)
+        inner = flow(table).method("NT").method_spec.build()
+        slow = ChaosMethod(inner, hooks=[Sleep(0.6)])
         with BackboneDaemon(port=0, batch_window=0.3,
                             default_deadline=0.01) as daemon:
+            # Occupy the batcher, so the next ticket queues behind a
+            # busy batch until its deadline has passed.
+            busy = threading.Thread(
+                target=daemon.submit,
+                args=([flow(table).method(slow).budget(share=0.5)],),
+                kwargs={"deadline": 10.0})
+            busy.start()
+            wait_until(lambda: daemon.status()["daemon"]["requests"]
+                       and not daemon._pending)
             plan = flow(str(edges_csv)).method("NT") \
                 .budget(share=0.3)
             with pytest.raises(DeadlineExceeded):
                 daemon.submit([plan])
-            for _ in range(100):
-                stats = daemon.status()["daemon"]
-                if stats["cancelled"] or stats["batches"]:
-                    break
-                threading.Event().wait(0.02)
-            assert daemon.status()["daemon"]["cancelled"] == 1, \
+            busy.join(10.0)
+            assert not busy.is_alive()
+            wait_until(lambda: daemon.status()["daemon"]["cancelled"])
+            stats = daemon.status()["daemon"]
+            assert stats["cancelled"] == 1, \
                 "an expired queued ticket must be dropped, not served"
+            assert stats["deadline_misses"] == 1
+
+    def test_cancelled_ticket_counts_a_deadline_miss(self, edges_csv,
+                                                     daemon):
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        ticket = daemon._admit([plan], 0.0)
+        # The batcher counts the cancellation before it sets the event.
+        wait_until(ticket.event.is_set)
+        with pytest.raises(DeadlineExceeded, match="before its batch"):
+            daemon._await(ticket)
+        stats = daemon.status()["daemon"]
+        assert (stats["cancelled"], stats["deadline_misses"]) == (1, 1)
 
     @pytest.mark.parametrize("deadline", [1e308, float("inf")])
     def test_unbounded_deadline_is_400_before_admission(
@@ -236,6 +297,54 @@ class TestDeadlines:
         # A negative deadline has simply already expired.
         with pytest.raises(DeadlineExceeded):
             daemon.submit([plan], deadline=-1.0)
+
+
+class TestBatchStart:
+    """A batch starts as soon as a request is queued; ``batch_window``
+    delays nothing."""
+
+    def test_lone_request_runs_at_once(self, edges_csv):
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0, batch_window=5.0) as daemon:
+            start = time.perf_counter()
+            assert daemon.submit([plan])[0].ok
+            assert time.perf_counter() - start < 2.5
+            start = time.perf_counter()
+            reply = ServeClient(port=daemon.port).run([plan.to_json()])
+            assert reply["results"][0]["ok"]
+            assert time.perf_counter() - start < 2.5
+
+    def test_stalled_body_does_not_hold_a_batch(self, edges_csv):
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0, batch_window=5.0) as daemon:
+            stalled = StalledRun(daemon.port, plan)
+            # Give the handler time to parse the headers and block on
+            # the rest of the body.
+            time.sleep(0.2)
+            start = time.perf_counter()
+            assert daemon.submit([plan])[0].ok
+            assert time.perf_counter() - start < 2.5
+            reply = stalled.finish()
+        assert reply["results"][0]["ok"]
+        assert reply["batch"]["clients"] == 1
+
+    def test_requests_queued_behind_a_batch_share_the_next(
+            self, edges_csv):
+        table = random_table(6)
+        inner = flow(table).method("NT").method_spec.build()
+        slow = ChaosMethod(inner, hooks=[Sleep(0.6)])
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0, batch_window=5.0) as daemon:
+            busy = daemon._admit(
+                [flow(table).method(slow).budget(share=0.5)], 10.0)
+            wait_until(lambda: not daemon._pending)
+            queued = [daemon._admit([plan], 10.0) for _ in range(2)]
+            for ticket in [busy, *queued]:
+                assert [r.ok for r in daemon._await(ticket)] == [True]
+            stats = daemon.status()["daemon"]
+        assert busy.batch == {"plans": 1, "clients": 1}
+        assert [t.batch for t in queued] == [{"plans": 2, "clients": 2}] * 2
+        assert (stats["batches"], stats["coalesced_batches"]) == (2, 1)
 
 
 class TestLifecycle:
