@@ -101,8 +101,7 @@ def test_serve_load_coalescing_and_latency(benchmark, tmp_path):
     path = _write_workload(tmp_path)
     store = ScoreStore()
 
-    with BackboneDaemon(port=0, store=store, batch_window=0.05,
-                        default_deadline=120.0) as daemon:
+    with BackboneDaemon(port=0, store=store, default_deadline=120.0) as daemon:
         replies, cold = benchmark.pedantic(
             _cold_burst, args=(daemon.port, path), rounds=1,
             iterations=1)

@@ -31,7 +31,7 @@ network = erdos_renyi_gnm(n_nodes=60, n_edges=400, seed=7)
 path = Path(tempfile.mkdtemp()) / "edges.csv"
 write_edges(network, path)
 
-daemon = BackboneDaemon(port=0, workers=2, batch_window=0.02).start()
+daemon = BackboneDaemon(port=0, workers=2).start()
 client = ServeClient(port=daemon.port)
 print(f"daemon up on port {daemon.port} (healthy: {client.healthy()})")
 

@@ -37,7 +37,7 @@ write_edges(network, path)
 flaky = FlakyBackend(KVBackend(InMemoryKVServer()))
 store = ScoreStore(backend=flaky)
 
-daemon = BackboneDaemon(port=0, store=store, batch_window=0.1).start()
+daemon = BackboneDaemon(port=0, store=store).start()
 client = ServeClient(port=daemon.port)
 print(f"daemon up on port {daemon.port} "
       f"(healthy: {client.healthy()})")

@@ -294,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_start.add_argument("--deadline", type=float, default=30.0,
                              help="default per-request deadline in "
                                   "seconds (default 30)")
-    serve_start.add_argument("--batch-window", type=float, default=0.05,
-                             help="accepted and reported in status, "
-                                  "but unused: a batch starts as soon "
-                                  "as a request is queued")
     serve_start.add_argument("--slow-request", type=float,
                              help="log a warning (and count it) for "
                                   "requests slower end-to-end than "
@@ -552,18 +548,26 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_flow(args: argparse.Namespace) -> int:
+def _read_plan(path: str):
+    """The plan artifact saved at ``path``, or ``None`` after printing
+    why it cannot be read."""
     from .flow import Plan
-    from .pipeline import ScoreStore
 
     try:
-        with open(args.plan) as handle:
-            plan = Plan.from_json(handle.read())
+        with open(path) as handle:
+            return Plan.from_json(handle.read())
     except OSError as error:
         print(f"error: cannot read plan: {error}", file=sys.stderr)
-        return 2
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
+    return None
+
+
+def _run_flow(args: argparse.Namespace) -> int:
+    from .pipeline import ScoreStore
+
+    plan = _read_plan(args.plan)
+    if plan is None:
         return 2
     store = None if args.cache_dir is None else ScoreStore(args.cache_dir)
     if args.explain:
@@ -591,30 +595,23 @@ def _run_obs(args: argparse.Namespace) -> int:
     import json
 
     if args.obs_command == "metrics":
-        from .serve import ServeClient
+        from .serve import ServeClient, ServeError
 
         client = ServeClient(args.host, args.port)
         try:
             sys.stdout.write(client.metrics())
-        except OSError as error:
+        except (OSError, ServeError) as error:
             print(f"no daemon at {args.host}:{args.port} ({error})",
                   file=sys.stderr)
             return 1
         return 0
 
-    from .flow import Plan
     from .flow.serve import serve
     from .obs import TRACER, trace, trace_to_dict
     from .pipeline import ScoreStore
 
-    try:
-        with open(args.plan) as handle:
-            plan = Plan.from_json(handle.read())
-    except OSError as error:
-        print(f"error: cannot read plan: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
+    plan = _read_plan(args.plan)
+    if plan is None:
         return 2
     store = None if args.cache_dir is None else ScoreStore(args.cache_dir)
     with trace("cli.trace", plan=plan.fingerprint()[:16]) as root:
@@ -769,13 +766,12 @@ def _run_net(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import json
 
-    from .serve import BackboneDaemon, ServeClient
+    from .serve import BackboneDaemon, ServeClient, ServeError
 
     if args.serve_command == "start":
         daemon = BackboneDaemon(
             host=args.host, port=args.port, cache_dir=args.cache_dir,
-            workers=args.workers, batch_window=args.batch_window,
-            default_deadline=args.deadline,
+            workers=args.workers, default_deadline=args.deadline,
             slow_request_s=args.slow_request,
             probe_interval=args.probe_interval).start()
         print(f"backbone daemon listening on {args.host}:{daemon.port} "
@@ -788,7 +784,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.serve_command == "status":
         try:
             print(json.dumps(client.status(), indent=2, sort_keys=True))
-        except OSError as error:
+        except (OSError, ServeError) as error:
             print(f"no daemon at {args.host}:{args.port} ({error})",
                   file=sys.stderr)
             return 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .daemon import DeadlineExceeded
 
@@ -26,7 +26,8 @@ class ServeError(RuntimeError):
     """The daemon answered with a request-level error.
 
     ``status`` is the HTTP status, ``kind`` the error type name from
-    the response body (e.g. ``"BadRequest"``).
+    the response body (e.g. ``"BadRequest"``), or ``"Protocol"`` when
+    the reply is not JSON (the server is not a backbone daemon).
     """
 
     def __init__(self, status: int, kind: str, message: str):
@@ -84,7 +85,11 @@ class ServeClient:
 
     def metrics(self) -> str:
         """The daemon's Prometheus text exposition (``/v1/metrics``)."""
-        return self._call_text("GET", "/v1/metrics")
+        status, text = self._exchange("GET", "/v1/metrics")
+        if status >= 400:
+            raise ServeError(status, "ServeError",
+                             text.strip() or "request failed")
+        return text
 
     def healthy(self) -> bool:
         """True when the daemon answers its health check."""
@@ -105,6 +110,26 @@ class ServeClient:
 
     def _call(self, verb: str, path: str,
               body: Optional[Dict[str, object]] = None):
+        status, text = self._exchange(verb, path, body)
+        try:
+            decoded = json.loads(text)
+        except ValueError:
+            raise ServeError(status, "Protocol",
+                             f"reply is not JSON: {text[:80]!r}") from None
+        if status >= 400:
+            error = decoded.get("error", {}) \
+                if isinstance(decoded, dict) else {}
+            kind = str(error.get("type", "ServeError"))
+            message = str(error.get("message", "request failed"))
+            if kind == "DeadlineExceeded":
+                raise DeadlineExceeded(message)
+            raise ServeError(status, kind, message)
+        return decoded
+
+    def _exchange(self, verb: str, path: str,
+                  body: Optional[Dict[str, object]] = None
+                  ) -> Tuple[int, str]:
+        """One HTTP round trip: the reply's status and decoded text."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout)
         try:
@@ -113,33 +138,10 @@ class ServeClient:
                 else {}
             connection.request(verb, path, body=payload, headers=headers)
             response = connection.getresponse()
-            decoded = json.loads(response.read().decode())
+            return response.status, response.read().decode(
+                "utf-8", errors="replace")
         finally:
             connection.close()
-        if response.status >= 400:
-            error = decoded.get("error", {}) \
-                if isinstance(decoded, dict) else {}
-            kind = str(error.get("type", "ServeError"))
-            message = str(error.get("message", "request failed"))
-            if kind == "DeadlineExceeded":
-                raise DeadlineExceeded(message)
-            raise ServeError(response.status, kind, message)
-        return decoded
-
-    def _call_text(self, verb: str, path: str) -> str:
-        """Like :meth:`_call` for plain-text endpoints (no JSON)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            connection.request(verb, path)
-            response = connection.getresponse()
-            text = response.read().decode("utf-8")
-        finally:
-            connection.close()
-        if response.status >= 400:
-            raise ServeError(response.status, "ServeError",
-                             text.strip() or "request failed")
-        return text
 
 
 def collect_results(reply: Dict[str, object]) -> List[Dict[str, object]]:

@@ -31,7 +31,7 @@ rather than a script is what it keeps warm and what it survives:
   failed and the daemon keeps serving.
 * **Slow clients.** Handler sockets carry a read timeout, so a client
   that stalls mid-request occupies one handler thread for at most
-  ``request_timeout`` seconds, not forever.
+  :data:`REQUEST_TIMEOUT_S` seconds, not forever.
 
 * **Observability** (:mod:`repro.obs`). Every daemon counter is a
   :class:`~repro.obs.metrics.Counter` in the daemon's own registry,
@@ -92,6 +92,9 @@ PROTOCOL_VERSION = 1
 #: Hard cap on request body size (a plan artifact is a few hundred
 #: bytes; anything near this is a confused or hostile client).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Socket read timeout per request, in seconds: the slow-client bound.
+REQUEST_TIMEOUT_S = 10.0
 
 
 class DeadlineExceeded(RuntimeError):
@@ -163,13 +166,8 @@ class BackboneDaemon:
         one over). Defaults to a fresh memory-only store.
     workers:
         Process fan-out for cold scoring, as everywhere else.
-    batch_window:
-        Accepted and reported (``status()["config"]``) but no longer
-        used: a batch starts as soon as a request is queued.
     default_deadline:
         Request deadline applied when the client sends none.
-    request_timeout:
-        Socket read timeout per request — the slow-client bound.
     slow_request_s:
         Log any request slower than this (seconds, end to end) with
         its queue/batch split; ``None`` disables the slow-request log.
@@ -184,9 +182,7 @@ class BackboneDaemon:
                  store: Optional[ScoreStore] = None,
                  cache_dir: Optional[PathLike] = None,
                  workers: Optional[int] = None,
-                 batch_window: float = 0.05,
                  default_deadline: float = 30.0,
-                 request_timeout: float = 10.0,
                  slow_request_s: Optional[float] = None,
                  probe_interval: Optional[float] = 5.0):
         if store is not None and cache_dir is not None:
@@ -195,9 +191,7 @@ class BackboneDaemon:
             store = ScoreStore(cache_dir)
         self.store = store
         self.workers = workers
-        self.batch_window = float(batch_window)
         self.default_deadline = _check_deadline(default_deadline)
-        self.request_timeout = float(request_timeout)
         self.slow_request_s = None if slow_request_s is None \
             else float(slow_request_s)
         self.probe_interval = None if not probe_interval \
@@ -422,8 +416,7 @@ class BackboneDaemon:
             self._request_hist.observe(total_s)
             if ticket.trace and trace_root is not None:
                 ticket.artifact = _trace_artifact(
-                    ticket, trace_root, batch_spans, queue_wait,
-                    total_s, self.batch_window)
+                    ticket, trace_root, batch_spans, queue_wait, total_s)
             self._counters["served"].inc()
             if self.slow_request_s is not None \
                     and total_s >= self.slow_request_s:
@@ -524,9 +517,7 @@ class BackboneDaemon:
             },
             "config": {
                 "workers": self.workers,
-                "batch_window_s": self.batch_window,
                 "default_deadline_s": self.default_deadline,
-                "request_timeout_s": self.request_timeout,
                 "slow_request_s": self.slow_request_s,
                 "probe_interval_s": self.probe_interval,
                 "backend": (None if self.store.backend is None
@@ -537,8 +528,7 @@ class BackboneDaemon:
 
 def _trace_artifact(ticket: _Ticket, root: Span,
                     batch_spans: List[Span], queue_wait: float,
-                    total_s: float,
-                    batch_window: float) -> Dict[str, Any]:
+                    total_s: float) -> Dict[str, Any]:
     """One ticket's JSON trace artifact.
 
     The batch trace is shared by every coalesced client; each ticket
@@ -554,8 +544,7 @@ def _trace_artifact(ticket: _Ticket, root: Span,
         attributes={"plans": len(ticket.plans)})
     wait = Span.finished(
         "admission.wait", trace_id, parent_id=request.span_id,
-        start_unix=ticket.enqueued_unix, duration_s=queue_wait,
-        attributes={"batch_window_s": batch_window})
+        start_unix=ticket.enqueued_unix, duration_s=queue_wait)
     spans: List[Dict[str, Any]] = [request.to_dict(), wait.to_dict()]
     for recorded in batch_spans:
         node = recorded.to_dict()
@@ -594,7 +583,7 @@ def result_payload(result: FlowResult,
 def _make_handler(daemon: BackboneDaemon):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
-        timeout = daemon.request_timeout  # slow-client read bound
+        timeout = REQUEST_TIMEOUT_S  # slow-client read bound
 
         # -- plumbing --------------------------------------------------
 
@@ -602,12 +591,8 @@ def _make_handler(daemon: BackboneDaemon):
             logger.debug("%s %s", self.address_string(), format % args)
 
         def _reply(self, status: int, payload: Dict[str, object]) -> None:
-            body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._reply_text(status, json.dumps(payload),
+                             "application/json")
 
         def _reply_text(self, status: int, text: str,
                         content_type: str) -> None:

@@ -401,7 +401,7 @@ class TestFileSourceBindings:
 
         plan = flow(str(edges_csv), directed=False).method("NC", delta=1.5)
         local = plan.run()
-        with BackboneDaemon(port=0, batch_window=0.01) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             client = ServeClient(port=daemon.port)
             assert client.run([plan.to_json()])["results"][0]["ok"]
             parse_spy.forbid()
@@ -703,6 +703,12 @@ class TestShareRounding:
 # CLI: plan artifacts and --explain
 # ----------------------------------------------------------------------
 
+#: Both CLI commands that read a plan artifact from a file.
+PLAN_COMMANDS = pytest.mark.parametrize(
+    "command", [["flow", "run"], ["obs", "trace"]],
+    ids=["flow-run", "obs-trace"])
+
+
 class TestFlowCLI:
     def test_flow_run_plan_json(self, edges_csv, tmp_path, capsys):
         plan = flow(str(edges_csv), directed=False).method("NT") \
@@ -736,14 +742,16 @@ class TestFlowCLI:
         out = capsys.readouterr().out
         assert "score key" in out and "NC" in out
 
-    def test_flow_run_missing_plan_errors(self, tmp_path, capsys):
-        assert main(["flow", "run", str(tmp_path / "nope.json")]) == 2
+    @PLAN_COMMANDS
+    def test_flow_run_missing_plan_errors(self, tmp_path, capsys, command):
+        assert main([*command, str(tmp_path / "nope.json")]) == 2
         assert "cannot read plan" in capsys.readouterr().err
 
-    def test_flow_run_invalid_plan_errors(self, tmp_path, capsys):
+    @PLAN_COMMANDS
+    def test_flow_run_invalid_plan_errors(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        assert main(["flow", "run", str(bad)]) == 2
+        assert main([*command, str(bad)]) == 2
         assert "unsupported plan schema" in capsys.readouterr().err
 
     def test_backbone_explain_prints_plan(self, edges_csv, tmp_path,

@@ -379,13 +379,11 @@ class TestDaemonReplicas:
         plan = flow(str(path)).method("nc", delta=1.2)
         with SocketKVServer() as server:
             spec = f"kv://127.0.0.1:{server.port}"
-            with BackboneDaemon(port=0, cache_dir=spec,
-                                batch_window=0.01) as first:
+            with BackboneDaemon(port=0, cache_dir=spec) as first:
                 reply = ServeClient(port=first.port) \
                     .run([plan.to_json()], return_edges=True)
                 (cold,) = collect_results(reply)
-            with BackboneDaemon(port=0, cache_dir=spec,
-                                batch_window=0.01) as second:
+            with BackboneDaemon(port=0, cache_dir=spec) as second:
                 reply = ServeClient(port=second.port) \
                     .run([plan.to_json()], return_edges=True)
                 (warm,) = collect_results(reply)
@@ -402,7 +400,6 @@ class TestDaemonReplicas:
         try:
             spec = f"kv://{host}:{port}?timeout=0.5&attempts=2"
             with BackboneDaemon(port=0, cache_dir=spec,
-                                batch_window=0.01,
                                 probe_interval=0.1) as daemon:
                 client = ServeClient(port=daemon.port)
                 plan = flow(str(path)).method("nc", delta=1.0)

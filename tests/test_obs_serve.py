@@ -65,7 +65,7 @@ class TestMetricsEndpoint:
     def test_scrape_parses_and_covers_required_series(self, tmp_path):
         artifact = flow(edges_file(tmp_path, 21)) \
             .method("NC", delta=1.64).to_json()
-        with BackboneDaemon(port=0, batch_window=0.01) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             client = ServeClient(port=daemon.port)
             client.run([artifact])
             client.run([artifact])  # warm: a cache hit
@@ -95,7 +95,7 @@ class TestMetricsEndpoint:
             >= 1
 
     def test_metrics_path_alias_and_content_type(self, tmp_path):
-        with BackboneDaemon(port=0, batch_window=0.01) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             import http.client
 
             connection = http.client.HTTPConnection(
@@ -122,8 +122,7 @@ class TestEndToEndTrace:
         plans = [flow(path).method("NC", delta=1.64)
                  .budget(share=0.2).to_json(),
                  flow(path).method("DF").budget(share=0.2).to_json()]
-        with BackboneDaemon(port=0, workers=2,
-                            batch_window=0.02) as daemon:
+        with BackboneDaemon(port=0, workers=2) as daemon:
             reply = ServeClient(port=daemon.port).run(plans, trace=True)
         assert all(slot["ok"] for slot in reply["results"])
         artifact = reply["trace"]
@@ -153,7 +152,7 @@ class TestEndToEndTrace:
     def test_untraced_request_carries_no_artifact(self, tmp_path):
         artifact = flow(edges_file(tmp_path, 26)) \
             .method("NT").budget(share=0.3).to_json()
-        with BackboneDaemon(port=0, batch_window=0.01) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             reply = ServeClient(port=daemon.port).run([artifact])
         assert "trace" not in reply
 
@@ -167,7 +166,7 @@ class TestConcurrentConsistency:
         artifact = flow(edges_file(tmp_path, 23)) \
             .method("NC", delta=1.64).budget(share=0.3).to_json()
         outcomes = []
-        with BackboneDaemon(port=0, batch_window=0.2) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             def normal():
                 reply = ServeClient(port=daemon.port).run([artifact])
                 outcomes.append(reply["results"][0]["ok"])
@@ -215,7 +214,7 @@ class TestStatusMatchesMetrics:
         good = flow(edges_file(tmp_path, 28)).method("NT") \
             .budget(share=0.3)
         unknown = replace(good, method_spec=MethodSpec("NOPE"))
-        with BackboneDaemon(port=0, batch_window=0.05, probe_interval=0,
+        with BackboneDaemon(port=0, probe_interval=0,
                             slow_request_s=0.0) as daemon:
             client = ServeClient(port=daemon.port)
             status, metrics = self.views(client)
@@ -252,7 +251,7 @@ class TestChaosScrape:
             "repro_cache_degraded_transitions_total")
         rearms_before = rearm_counter.value()
         flips_before = flip_counter.value()
-        with BackboneDaemon(port=0, store=store, batch_window=0.01,
+        with BackboneDaemon(port=0, store=store,
                             probe_interval=0.05) as daemon:
             client = ServeClient(port=daemon.port)
             flaky.outage()
@@ -298,8 +297,7 @@ class TestSlowRequestLog:
             .method("NT").budget(share=0.3).to_json()
         with caplog.at_level(logging.WARNING,
                              logger="repro.serve.daemon"), \
-                BackboneDaemon(port=0, batch_window=0.01,
-                               slow_request_s=0.0) as daemon:
+                BackboneDaemon(port=0, slow_request_s=0.0) as daemon:
             client = ServeClient(port=daemon.port)
             client.run([artifact])
             series = parse_prometheus(client.metrics())
@@ -314,7 +312,7 @@ class TestSlowRequestLog:
             .method("NT").budget(share=0.3).to_json()
         with caplog.at_level(logging.WARNING,
                              logger="repro.serve.daemon"), \
-                BackboneDaemon(port=0, batch_window=0.01) as daemon:
+                BackboneDaemon(port=0) as daemon:
             client = ServeClient(port=daemon.port)
             client.run([artifact])
             series = parse_prometheus(client.metrics())

@@ -60,8 +60,7 @@ class TestBackendOutage:
         path = tmp_path / "edges.csv"
         write_edges(table, path)
         plan = flow(str(path)).method("NC", delta=1.5)
-        with BackboneDaemon(port=0, store=store,
-                            batch_window=0.01) as daemon:
+        with BackboneDaemon(port=0, store=store) as daemon:
             client = ServeClient(port=daemon.port)
             reply = client.run([plan.to_json()])
             assert reply["results"][0]["ok"]
@@ -125,8 +124,7 @@ class TestWorkerDeath:
     def test_daemon_survives_worker_death(self, tmp_path):
         table = random_table(5)
         killer, plain = self._methods(tmp_path)
-        with BackboneDaemon(port=0, workers=2,
-                            batch_window=0.01) as daemon:
+        with BackboneDaemon(port=0, workers=2) as daemon:
             results = daemon.submit(
                 [flow(table).method(killer).budget(share=0.4),
                  flow(table).method(plain).budget(share=0.4)],
@@ -144,7 +142,7 @@ class TestPerPlanFailure:
         # A star graph cannot be balanced: DS fails deterministically.
         star = EdgeTable([0, 0, 0], [1, 2, 3], [5.0, 4.0, 3.0],
                          directed=False)
-        with BackboneDaemon(port=0, batch_window=0.01) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             results = daemon.submit(
                 [flow(star).method("DS"),
                  flow(star).method("NT").budget(share=0.5)])

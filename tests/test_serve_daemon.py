@@ -13,6 +13,7 @@ import json
 import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def edges_csv(tmp_path):
 
 @pytest.fixture()
 def daemon():
-    with BackboneDaemon(port=0, batch_window=0.02) as running:
+    with BackboneDaemon(port=0) as running:
         yield running
 
 
@@ -154,15 +155,16 @@ class TestProtocol:
         assert status["daemon"]["plans"] == 1
         assert status["daemon"]["batches"] >= 1
         assert not status["degraded"]
-        assert status["config"]["batch_window_s"] == pytest.approx(0.02)
+        assert set(status["config"]) == {
+            "workers", "default_deadline_s", "slow_request_s",
+            "probe_interval_s", "backend"}
 
 
 class TestCoalescing:
     def test_concurrent_clients_share_one_scoring_pass(self, edges_csv):
         store = ScoreStore()
         deltas = [0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2]
-        with BackboneDaemon(port=0, store=store,
-                            batch_window=0.25) as daemon:
+        with BackboneDaemon(port=0, store=store) as daemon:
             client = ServeClient(port=daemon.port)
             replies = [None] * len(deltas)
 
@@ -204,8 +206,7 @@ class TestDeadlines:
         table = random_table(3)
         inner = flow(table).method("NT").method_spec.build()
         slow = ChaosMethod(inner, hooks=[Sleep(1.2)])
-        with BackboneDaemon(port=0, batch_window=0.01,
-                            default_deadline=0.15) as daemon:
+        with BackboneDaemon(port=0, default_deadline=0.15) as daemon:
             with pytest.raises(DeadlineExceeded):
                 daemon.submit([flow(table).method(slow).budget(share=0.5)])
             # The daemon is still healthy and serving.
@@ -223,7 +224,7 @@ class TestDeadlines:
         store = ScoreStore()
         inner = flow(table).method("NT").method_spec.build()
         slow = ChaosMethod(inner, hooks=[Sleep(0.6)])
-        with BackboneDaemon(port=0, store=store, batch_window=0.01,
+        with BackboneDaemon(port=0, store=store,
                             default_deadline=0.1) as daemon:
             plan = flow(table).method(slow).budget(share=0.5)
             with pytest.raises(DeadlineExceeded):
@@ -244,8 +245,7 @@ class TestDeadlines:
         table = random_table(5)
         inner = flow(table).method("NT").method_spec.build()
         slow = ChaosMethod(inner, hooks=[Sleep(0.6)])
-        with BackboneDaemon(port=0, batch_window=0.3,
-                            default_deadline=0.01) as daemon:
+        with BackboneDaemon(port=0, default_deadline=0.01) as daemon:
             # Occupy the batcher, so the next ticket queues behind a
             # busy batch until its deadline has passed.
             busy = threading.Thread(
@@ -300,12 +300,11 @@ class TestDeadlines:
 
 
 class TestBatchStart:
-    """A batch starts as soon as a request is queued; ``batch_window``
-    delays nothing."""
+    """A batch starts as soon as a request is queued."""
 
     def test_lone_request_runs_at_once(self, edges_csv):
         plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
-        with BackboneDaemon(port=0, batch_window=5.0) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             start = time.perf_counter()
             assert daemon.submit([plan])[0].ok
             assert time.perf_counter() - start < 2.5
@@ -316,7 +315,7 @@ class TestBatchStart:
 
     def test_stalled_body_does_not_hold_a_batch(self, edges_csv):
         plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
-        with BackboneDaemon(port=0, batch_window=5.0) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             stalled = StalledRun(daemon.port, plan)
             # Give the handler time to parse the headers and block on
             # the rest of the body.
@@ -334,7 +333,7 @@ class TestBatchStart:
         inner = flow(table).method("NT").method_spec.build()
         slow = ChaosMethod(inner, hooks=[Sleep(0.6)])
         plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
-        with BackboneDaemon(port=0, batch_window=5.0) as daemon:
+        with BackboneDaemon(port=0) as daemon:
             busy = daemon._admit(
                 [flow(table).method(slow).budget(share=0.5)], 10.0)
             wait_until(lambda: not daemon._pending)
@@ -347,9 +346,28 @@ class TestBatchStart:
         assert (stats["batches"], stats["coalesced_batches"]) == (2, 1)
 
 
+class TestSlowClient:
+    def test_stalled_body_is_cut_off_at_the_read_timeout(
+            self, edges_csv, monkeypatch):
+        # The handler reads the bound when the daemon starts.
+        monkeypatch.setattr("repro.serve.daemon.REQUEST_TIMEOUT_S", 0.3)
+        plan = flow(str(edges_csv)).method("NT").budget(share=0.3)
+        with BackboneDaemon(port=0) as daemon:
+            stalled = StalledRun(daemon.port, plan)
+            start = time.monotonic()
+            try:
+                assert stalled.sock.recv(1024) == b""
+            finally:
+                stalled.sock.close()
+            assert 0.2 <= time.monotonic() - start <= 3.0
+            assert daemon.status()["daemon"]["requests"] == 0
+            reply = ServeClient(port=daemon.port).run([plan.to_json()])
+        assert reply["results"][0]["ok"]
+
+
 class TestLifecycle:
     def test_shutdown_via_http(self, edges_csv):
-        daemon = BackboneDaemon(port=0, batch_window=0.01).start()
+        daemon = BackboneDaemon(port=0).start()
         client = ServeClient(port=daemon.port)
         assert client.shutdown()
         daemon._stopped.wait(timeout=5.0)
@@ -420,15 +438,55 @@ class TestServeIsolatedEngine:
             == [r.backbone.m for r in local]
 
 
+class NotADaemon(BaseHTTPRequestHandler):
+    """Some other HTTP server: every GET and POST is an HTML 404."""
+
+    def do_GET(self):
+        self.send_error(404)
+
+    do_POST = do_GET
+
+    def log_message(self, format, *args):  # noqa: A002 (stdlib name)
+        pass
+
+
+@pytest.fixture()
+def not_a_daemon():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), NotADaemon)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[1]
+    server.shutdown()
+    server.server_close()
+
+
+class TestNotADaemon:
+    def test_client_raises_a_protocol_error(self, not_a_daemon):
+        client = ServeClient(port=not_a_daemon)
+        assert not client.healthy()
+        assert not client.shutdown()
+        with pytest.raises(ServeError) as info:
+            client.status()
+        assert (info.value.status, info.value.kind) == (404, "Protocol")
+
+    @pytest.mark.parametrize(
+        "command", [["serve", "status"], ["serve", "shutdown"],
+                    ["obs", "metrics"]],
+        ids=["serve-status", "serve-shutdown", "obs-metrics"])
+    def test_cli_reports_no_daemon(self, not_a_daemon, command, capsys):
+        assert main([*command, "--port", str(not_a_daemon)]) == 1
+        assert "no daemon" in capsys.readouterr().err
+
+
 class TestServeCLI:
     def test_parser_accepts_serve_commands(self, capsys):
         from repro.cli import build_parser
         parser = build_parser()
         args = parser.parse_args(["serve", "start", "--port", "0",
-                                  "--batch-window", "0.01",
                                   "--deadline", "5"])
         assert args.serve_command == "start"
-        assert args.batch_window == pytest.approx(0.01)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "start", "--batch-window", "0.01"])
         args = parser.parse_args(["serve", "status", "--port", "9"])
         assert args.serve_command == "status"
 
