@@ -1,21 +1,28 @@
 """Tier-2 perf smoke: the pipeline cache on the Fig. 7 workload.
 
 Runs the full coverage sweep of paper Fig. 7 (six networks x six
-methods x the paper's share grid) several ways — plain serial, cold
-store, warm store (both tiers and disk-only), and sharded across two
-workers — and asserts the contract of ISSUE 2:
+methods x the paper's share grid) several ways — a plan run with no
+store, cold store, warm store (both tiers and disk-only), and sharded
+across two workers — and asserts:
 
 * a warm store makes the sweep at least 5x faster than the cold run
   (scoring dominates, and the cache removes all of it);
-* sharded ``workers=2`` execution returns *bit-identical* series to the
-  serial path (parallelism is purely a wall-clock optimization);
+* the no-store run equals a direct-scoring reference, in which each
+  method scores and filters the table itself (computed after the
+  timed legs, so it cannot warm them);
+* sharded ``workers=2`` execution returns *bit-identical* series to
+  the no-store run (parallelism is purely a wall-clock optimization);
 * so do the cached paths (cache hits must not perturb results).
 """
 
 from conftest import emit
 
+from repro.backbones.doubly_stochastic import SinkhornConvergenceError
+from repro.backbones.registry import paper_methods
+from repro.evaluation.sweep import DEFAULT_SHARES, SweepSeries
 from repro.experiments import fig7_topology
-from repro.pipeline import ScoreStore
+from repro.generators.world import NETWORK_NAMES
+from repro.pipeline import CoverageMetric, ScoreStore
 from repro.util.tables import format_table
 from repro.util.timing import time_call
 
@@ -23,8 +30,35 @@ from repro.util.timing import time_call
 MIN_WARM_SPEEDUP = 5.0
 
 
+def _direct_sweeps(world):
+    """Fig. 7's series, each method scoring and filtering by itself."""
+    sweeps = {}
+    for name in NETWORK_NAMES:
+        table = world.network(name, 0)
+        metric = CoverageMetric(table)
+        sweeps[name] = {}
+        for method in paper_methods():
+            code = method.code
+            try:
+                if method.parameter_free:
+                    backbone = method.extract(table)
+                    share = backbone.m / max(table.nonloop_m, 1)
+                    series = SweepSeries(code, [share], [metric(backbone)],
+                                         True)
+                else:
+                    scored = method.score(table)
+                    series = SweepSeries(
+                        code, list(DEFAULT_SHARES),
+                        [metric(scored.top_share(share))
+                         for share in DEFAULT_SHARES], False)
+            except SinkhornConvergenceError:
+                series = SweepSeries(code, [], [], True)
+            sweeps[name][code] = series
+    return sweeps
+
+
 def _run_all_ways(world, cache_dir):
-    serial_s, serial = time_call(fig7_topology.run, world=world)
+    plain_s, plain = time_call(fig7_topology.run, world=world)
     store = ScoreStore(cache_dir)
     cold_s, cold = time_call(fig7_topology.run, world=world, store=store)
     # Warm, both tiers live: the service scenario (same process reruns).
@@ -37,10 +71,10 @@ def _run_all_ways(world, cache_dir):
     disk_s, disk = time_call(fig7_topology.run, world=world, store=store)
     sharded_s, sharded = time_call(fig7_topology.run, world=world,
                                    store=store, workers=2)
-    timings = (("serial", serial_s), ("cold store", cold_s),
+    timings = (("no store", plain_s), ("cold store", cold_s),
                ("warm store", warm_s), ("warm disk-only", disk_s),
                ("sharded x2", sharded_s))
-    return timings, (serial, cold, warm, disk, sharded), store
+    return timings, (plain, cold, warm, disk, sharded), store
 
 
 def test_pipeline_cache_speedup_and_identity(benchmark, world, tmp_path):
@@ -56,15 +90,17 @@ def test_pipeline_cache_speedup_and_identity(benchmark, world, tmp_path):
         title="Fig. 7 coverage sweep through the pipeline cache"))
     emit(store.stats.summary())
 
-    serial, cold, warm, disk, sharded = results
-    assert cold.sweeps == serial.sweeps, \
+    plain, cold, warm, disk, sharded = results
+    assert plain.sweeps == _direct_sweeps(world), \
+        "the plan batch diverged from direct scoring"
+    assert cold.sweeps == plain.sweeps, \
         "a cold cache perturbed the sweep results"
-    assert warm.sweeps == serial.sweeps, \
+    assert warm.sweeps == plain.sweeps, \
         "memory-tier cache hits perturbed the sweep results"
-    assert disk.sweeps == serial.sweeps, \
+    assert disk.sweeps == plain.sweeps, \
         "disk-tier cache hits perturbed the sweep results"
-    assert sharded.sweeps == serial.sweeps, \
-        "workers=2 sharded output diverged from the serial path"
+    assert sharded.sweeps == plain.sweeps, \
+        "workers=2 sharded output diverged from the no-store run"
 
     speedup = by_name["cold store"] / by_name["warm store"]
     assert speedup >= MIN_WARM_SPEEDUP, \

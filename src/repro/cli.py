@@ -483,8 +483,7 @@ def _convert_edges(args: argparse.Namespace):
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from .evaluation.sweep import DEFAULT_SHARES
-    from .flow import MetricSpec, flow
-    from .flow.sweep import run_sweep_plans
+    from .flow import MetricSpec, flow, sweep_methods
     from .pipeline import ScoreStore
 
     # The whole sweep compiles to a flow plan batch: one plan per
@@ -507,10 +506,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
-        series = run_sweep_plans(methods, flow(args.input,
-                                               directed=args.directed),
-                                 metric, shares=shares, store=store,
-                                 workers=args.workers)
+        series = sweep_methods(methods, flow(args.input,
+                                             directed=args.directed),
+                               metric, shares=shares, store=store,
+                               workers=args.workers)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

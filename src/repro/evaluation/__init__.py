@@ -7,7 +7,7 @@ from .recovery import (extract_with_budget, recovery_by_method,
                        recovery_jaccard)
 from .stability import (average_stability, stability_spearman,
                         weights_for_pairs)
-from .sweep import DEFAULT_SHARES, SweepSeries, share_sweep, sweep_methods
+from .sweep import DEFAULT_SHARES, SweepSeries
 from .variance_validation import predicted_vs_observed_variance
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "quality_ratio",
     "recovery_by_method",
     "recovery_jaccard",
-    "share_sweep",
     "stability_spearman",
-    "sweep_methods",
     "weights_for_pairs",
 ]

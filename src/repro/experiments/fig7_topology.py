@@ -16,7 +16,8 @@ import numpy as np
 
 from ..backbones.base import BackboneMethod
 from ..backbones.registry import paper_methods
-from ..evaluation.sweep import DEFAULT_SHARES, SweepSeries, sweep_methods
+from ..evaluation.sweep import DEFAULT_SHARES, SweepSeries
+from ..flow.sweep import sweep_methods
 from ..generators.world import NETWORK_NAMES, SyntheticWorld
 from ..pipeline.tasks import CoverageMetric
 from .report import series_table
@@ -45,10 +46,11 @@ def run(world: Optional[SyntheticWorld] = None,
         store=None, workers: Optional[int] = None) -> Fig7Result:
     """Regenerate the Fig. 7 sweeps.
 
-    ``store``/``workers`` compile each network's sweep into a
-    :mod:`repro.flow` plan batch (via ``sweep_methods``): scored
-    tables come from (and land in) the cache, and scoring fans out
-    across processes, without changing any series value.
+    Each network's sweep is one :mod:`repro.flow` plan batch (via
+    ``sweep_methods``). Scored tables come from (and land in)
+    ``store``, a fresh memory-only one per batch when none is given,
+    and ``workers`` fans scoring out across processes; neither changes
+    any series value.
     """
     if world is None:
         world = SyntheticWorld(seed=0)

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..backbones.base import BackboneMethod
 from ..backbones.registry import paper_methods
-from ..evaluation.sweep import DEFAULT_SHARES, SweepSeries, sweep_methods
+from ..evaluation.sweep import DEFAULT_SHARES, SweepSeries
+from ..flow.sweep import sweep_methods
 from ..generators.world import NETWORK_NAMES, SyntheticWorld
 from ..pipeline.tasks import StabilityMetric
 from .report import series_table
@@ -44,9 +45,10 @@ def run(world: Optional[SyntheticWorld] = None,
         store=None, workers: Optional[int] = None) -> Fig8Result:
     """Regenerate the Fig. 8 sweeps.
 
-    ``store``/``workers`` compile the sweeps into :mod:`repro.flow`
-    plan batches (cached scored tables, process fan-out, identical
-    values).
+    Each network's sweep is one :mod:`repro.flow` plan batch, scored
+    over ``store`` (a fresh memory-only one per batch when none is
+    given) and optionally across ``workers`` processes; neither
+    changes any value.
     """
     if world is None:
         world = SyntheticWorld(seed=0)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..generators.world import SyntheticWorld
+from ..pipeline.store import ScoreStore
 from . import (case_study, fig1_example, fig2_threshold, fig3_toy,
                fig4_synthetic, fig5_weights, fig6_local_correlation,
                fig7_topology, fig8_stability, fig9_scalability,
@@ -43,25 +44,19 @@ def run_all(seed: int = 0, world: Optional[SyntheticWorld] = None,
 
     ``quick`` shrinks the heavy sweeps to laptop scale; ``tiny`` shrinks
     everything further to CI scale (used by the integration test).
-    ``workers`` fans the sweep-shaped experiments (Figs. 7-8, Table II)
-    out across processes, and ``cache_dir`` backs them with one shared
-    scored-table store — Table II then reuses the tables Fig. 7 already
-    scored. ``cache_dir`` accepts any backend spec
-    (:func:`repro.pipeline.backends.open_backend`): a directory path,
-    a ``.sqlite`` file, or ``sqlite://``/``kv://`` URLs. Neither knob
-    changes any reported number.
+    The sweep-shaped experiments (Figs. 7-8, Table II) always share one
+    scored-table store, so Fig. 8 and Table II reuse the tables Fig. 7
+    already scored. ``workers`` fans their scoring out across
+    processes, and ``cache_dir`` makes the store persistent; it accepts
+    any backend spec (:func:`repro.pipeline.backends.open_backend`): a
+    directory path, a ``.sqlite`` file, or ``sqlite://``/``kv://``
+    URLs. Neither knob changes any reported number.
     """
     if world is None:
         n_countries = 40 if tiny else (80 if quick else 120)
         world = SyntheticWorld(n_countries=n_countries, n_years=3,
                                seed=seed)
-    store = None
-    if cache_dir is not None:
-        from ..pipeline.store import ScoreStore
-        store = ScoreStore(cache_dir)
-    elif workers is not None:
-        from ..pipeline.store import ScoreStore
-        store = ScoreStore()  # share in-process scores across experiments
+    store = ScoreStore(cache_dir)
     results: Dict[str, object] = {}
     sections: Dict[str, str] = {}
 

@@ -19,7 +19,9 @@ from ..backbones.doubly_stochastic import SinkhornConvergenceError
 from ..backbones.registry import paper_methods
 from ..evaluation.quality import (QualityResult, backbone_pair_mask,
                                   network_design, quality_ratio)
+from ..flow import Plan, flow, serve
 from ..generators.world import NETWORK_NAMES, SyntheticWorld
+from ..pipeline.store import ScoreStore
 from .report import PAPER_TABLE2, comparison_table, mark_best
 
 
@@ -88,56 +90,42 @@ def run(world: Optional[SyntheticWorld] = None,
 
     ``budget_share`` overrides the HSS-derived edge budget with an
     explicit share of edges (useful for fast test runs that skip HSS).
-    ``store``/``workers`` compile each network's extractions into a
-    :mod:`repro.flow` plan batch served over one shared store: every
-    method is scored at most once (optionally across worker
-    processes), and every budget-matched extraction — including the
-    HSS run that *sets* the budget — reuses those scores. A store
-    shared with Fig. 7/8 skips rescoring here entirely (same tables,
-    same methods).
+    Each network's extractions are one :mod:`repro.flow` plan batch
+    over one store (a fresh memory-only one when ``store`` is None):
+    every method is scored at most once, optionally across ``workers``
+    processes, and every budget-matched extraction — including the HSS
+    run that *sets* the budget — reuses those scores. A store shared
+    with Fig. 7/8 skips rescoring here entirely (same tables, same
+    methods).
     """
     if world is None:
         world = SyntheticWorld(seed=0)
     if methods is None:
         methods = paper_methods()
+    if store is None:
+        store = ScoreStore()
     by_code = {method.code: method for method in methods}
-    use_flow = store is not None or workers is not None
-    if use_flow:
-        from ..flow import flow as make_flow
-        from ..flow import serve
-        from ..pipeline.store import ScoreStore
-        if store is None:
-            store = ScoreStore()  # batch-local deduplication
 
     ratios: Dict[str, Dict[str, Optional[float]]] = {}
     details: Dict[str, Dict[str, Optional[QualityResult]]] = {}
     budgets: Dict[str, int] = {}
     for name in networks:
         table = world.network(name, 0)
-        base = make_flow(table) if use_flow else None
-
-        def extract(method, **budget_kwargs):
-            if not use_flow:
-                return method.extract(table, **budget_kwargs)
-            plan = base.method(method)
-            if budget_kwargs:
-                plan = plan.budget(**budget_kwargs)
-            return plan.run(store=store, workers=workers).backbone
-
+        base = flow(table)
         y, X, _, src, dst = network_design(world, name)
-        budget = _edge_budget(by_code, table, budget_share, extract)
+        budget = _edge_budget(by_code, base, table, budget_share, store,
+                              workers)
         budgets[name] = budget
-        backbones = _extract_all(by_code, budget, budget_share, extract,
-                                 base, store, workers,
-                                 None if not use_flow else serve)
+        plans = [_extraction_plan(base, code, method, budget, budget_share)
+                 for code, method in by_code.items()]
+        results = serve(plans, store=store, workers=workers)
         ratios[name] = {}
         details[name] = {}
-        for code in by_code:
-            outcome = backbones[code]
+        for code, outcome in zip(by_code, results):
             try:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                mask = backbone_pair_mask(outcome, src, dst)
+                if outcome.error is not None:
+                    raise outcome.error
+                mask = backbone_pair_mask(outcome.backbone, src, dst)
                 result = quality_ratio(y, X, mask)
                 ratios[name][code] = result.ratio
                 details[name][code] = result
@@ -147,54 +135,26 @@ def run(world: Optional[SyntheticWorld] = None,
     return Table2Result(ratios=ratios, details=details, budgets=budgets)
 
 
-def _extract_all(by_code, budget, budget_share, extract, base, store,
-                 workers, serve):
-    """Every method's backbone (or the exception extraction raised).
-
-    Without a pipeline this is the legacy per-method loop. With one,
-    the extractions compile into a single flow plan batch: scoring is
-    deduplicated against the store (warm from the budget stage) and
-    cold methods fan out across workers.
-    """
-
-    def plan_kwargs(code, method):
-        if method.parameter_free:
-            return {}
-        if code == "HSS" and budget_share is None:
-            return {}  # its own threshold sets the budget
-        return {"n_edges": budget}
-
-    backbones: Dict[str, object] = {}
-    if serve is None:
-        for code, method in by_code.items():
-            try:
-                backbones[code] = extract(method, **plan_kwargs(code,
-                                                               method))
-            except (SinkhornConvergenceError, ValueError) as error:
-                backbones[code] = error
-        return backbones
-    plans = []
-    for code, method in by_code.items():
-        plan = base.method(method)
-        kwargs = plan_kwargs(code, method)
-        if kwargs:
-            plan = plan.budget(**kwargs)
-        plans.append(plan)
-    results = serve(plans, store=store, workers=workers)
-    for code, result in zip(by_code, results):
-        backbones[code] = result.error if result.error is not None \
-            else result.backbone
-    return backbones
+def _extraction_plan(base: Plan, code: str, method: BackboneMethod,
+                     budget: int, budget_share: Optional[float]) -> Plan:
+    """One method's Table II extraction: at the budget, or natural size
+    for parameter-free methods and for the HSS run that set it."""
+    plan = base.method(method)
+    if method.parameter_free or (code == "HSS" and budget_share is None):
+        return plan
+    return plan.budget(n_edges=budget)
 
 
-def _edge_budget(by_code: Dict[str, BackboneMethod], table,
-                 budget_share: Optional[float], extract) -> int:
+def _edge_budget(by_code: Dict[str, BackboneMethod], base: Plan, table,
+                 budget_share: Optional[float], store,
+                 workers: Optional[int]) -> int:
     working = table.without_self_loops()
     if budget_share is not None:
         return max(10, int(round(budget_share * working.m)))
     if "HSS" in by_code:
         # The paper's convention: the strict HSS backbone sets the budget.
-        hss_backbone = extract(by_code["HSS"])
+        hss_backbone = base.method(by_code["HSS"]).run(
+            store=store, workers=workers).backbone
         if hss_backbone.m >= 10:
             return hss_backbone.m
     return max(10, int(round(0.1 * working.m)))

@@ -1,7 +1,7 @@
 """One declarative, fingerprinted request API from source to backbone.
 
 ``repro.flow`` turns the library's hand-wired entry points
-(``method.extract``, ``sweep_methods``, the CLI) into a single shape:
+(``method.extract``, the CLI) into a single shape:
 build a *plan* — a pure, picklable, fingerprinted description of
 source, method, budget and metrics — and hand it (or a whole batch of
 them) to the runtime, which scores it through the cached
@@ -24,8 +24,8 @@ cache key, so N requests over one source at different deltas or
 budgets perform exactly one scoring pass — the "score once, filter
 many ways" regime of the paper's evaluation (Secs. V-D/E/F), served
 concurrently. ``Plan.run_many`` builds such batches from parameter
-grids, and :mod:`repro.flow.sweep` compiles whole paper sweeps
-(Figs. 7-8, Table II) into plan batches.
+grids, and :func:`sweep_methods` serves a whole share sweep as one
+batch. Paper Figs. 7-8 and Table II always run as such batches.
 
 Plans built from file paths and registry codes round-trip through
 JSON (``Plan.to_json`` / ``Plan.from_json``), making them shippable
@@ -52,7 +52,7 @@ from .spec import (BUDGET_KEYS, CallableMetric, FileSource, FilterSpec,
                    MethodInstance, MethodSpec, MetricSpec,
                    PlanSerializationError, TableSource, as_metric,
                    as_source)
-from .sweep import fold_sweep, run_sweep_plans, sweep_plans
+from .sweep import fold_sweep, sweep_methods, sweep_plans
 
 __all__ = [
     "BUDGET_KEYS",
@@ -77,8 +77,8 @@ __all__ = [
     "fold_sweep",
     "register_scheme",
     "registered_schemes",
-    "run_sweep_plans",
     "serve",
+    "sweep_methods",
     "sweep_plans",
     "unregister_scheme",
 ]

@@ -26,8 +26,8 @@ each a small frozen object that *describes* work without doing any:
   filters through the method's own
   :meth:`~repro.backbones.base.BackboneMethod.extract_from_scores`,
   reproducing ``method.extract`` bit for bit; ``rank="score"`` ranks
-  raw scores the way share sweeps do (``ScoredEdges.top_share``),
-  reproducing :func:`repro.evaluation.sweep.share_sweep`.
+  raw scores the way share sweeps do, reproducing
+  ``method.score(table).top_share(share)``.
 * metric specs — :class:`MetricSpec` names one of the registered
   metrics (resolved against the source's table summary when the plan
   compiles, so ``"coverage"`` measures retention against the *input*);

@@ -1,14 +1,12 @@
 """Share sweeps as plan batches.
 
-A share sweep — the workload behind paper Figs. 7-8 and Table II — is
-just a structured batch of flow requests: for every budgeted method,
-one plan per share with the raw-score sweep ranking
-(``rank="score"``); for every parameter-free method, a single plan at
-its natural share. :func:`sweep_plans` performs that compilation and
-:func:`run_sweep_plans` serves the batch and folds the results back
-into the classic ``{code: SweepSeries}`` mapping, bit-identical to
-:func:`repro.evaluation.sweep.sweep_methods` — which now routes its
-cached/sharded path through here.
+A share sweep — the workload behind paper Figs. 7-8 — is just a
+structured batch of flow requests: for every budgeted method, one plan
+per share with the raw-score sweep ranking (``rank="score"``); for
+every parameter-free method, a single plan at its natural share.
+:func:`sweep_plans` performs that compilation, :func:`fold_sweep`
+folds served results back into the ``{code: SweepSeries}`` mapping,
+and :func:`sweep_methods` does both around one :func:`serve` batch.
 """
 
 from __future__ import annotations
@@ -52,9 +50,8 @@ def fold_sweep(methods: Sequence[BackboneMethod],
                ) -> Dict[str, SweepSeries]:
     """Fold served :func:`sweep_plans` results into sweep series.
 
-    Mirrors the serial :func:`~repro.evaluation.sweep.sweep_methods`
-    exactly: parameter-free methods contribute one point at their
-    natural share, a method whose scoring is inapplicable (Sinkhorn
+    Parameter-free methods contribute one point at their natural
+    share, a method whose scoring is inapplicable (Sinkhorn
     non-convergence) maps to an empty series, and any other plan error
     is raised, in method order.
     """
@@ -83,11 +80,18 @@ def fold_sweep(methods: Sequence[BackboneMethod],
     return series
 
 
-def run_sweep_plans(methods: Sequence[BackboneMethod], source, metric,
-                    shares: Sequence[float] = DEFAULT_SHARES,
-                    store=None, workers: Optional[int] = None
-                    ) -> Dict[str, SweepSeries]:
-    """Compile, serve and fold a sweep in one call."""
+def sweep_methods(methods: Sequence[BackboneMethod], source, metric,
+                  shares: Sequence[float] = DEFAULT_SHARES,
+                  store=None, workers: Optional[int] = None
+                  ) -> Dict[str, SweepSeries]:
+    """Sweep every method over ``source`` as one served plan batch.
+
+    ``source`` is anything :func:`sweep_plans` accepts. ``store`` (a
+    :class:`repro.pipeline.ScoreStore`) serves scored tables from
+    cache and defaults to a memory-only store for this batch;
+    ``workers`` fans cold scoring out across processes. Neither
+    changes a value.
+    """
     plans = sweep_plans(methods, source, metric, shares=shares)
     results = serve(plans, store=store, workers=workers)
     return fold_sweep(methods, results, shares=shares)

@@ -10,8 +10,7 @@ picklable metric specs that sweeps evaluate.
 
 Typical use: score once, then filter many ways.
 
->>> from repro.evaluation.sweep import sweep_methods
->>> from repro.flow import flow
+>>> from repro.flow import flow, sweep_methods
 >>> from repro.graph.edge_table import EdgeTable
 >>> from repro.pipeline import DensityMetric, ScoreStore
 >>> table = EdgeTable.from_pairs(
@@ -34,8 +33,8 @@ file, ``ScoreStore(backend=KVBackend(...))`` talks to a remote-style
 key-value service, and ``store.gc(max_bytes=...)`` evicts
 least-recently-used entries from any of them.
 
-Cached, sharded and serial paths are bit-identical by construction;
-see :mod:`repro.flow.serve` for the contract.
+Cached and sharded paths are bit-identical by construction; see
+:mod:`repro.flow.serve` for the contract.
 """
 
 from .backends import (DirectoryBackend, GCPolicy, GCResult, KVBackend,

@@ -318,7 +318,9 @@ class TestBackendParity:
         assert backend.contains("aadry1")
 
     def test_sweep_through_backend_matches_serial(self, harness):
-        from repro.evaluation.sweep import sweep_methods
+        from sweep_reference import direct_sweep
+
+        from repro.flow import sweep_methods
         from repro.pipeline import DensityMetric
 
         rng = np.random.default_rng(33)
@@ -327,13 +329,13 @@ class TestBackendParity:
                           rng.integers(1, 30, 100).astype(float),
                           n_nodes=25)
         methods = [NaiveThreshold(), NoiseCorrectedBackbone()]
-        serial = sweep_methods(methods, table, DensityMetric())
+        direct = direct_sweep(methods, table, DensityMetric())
         store = ScoreStore(backend=harness.make())
         cold = sweep_methods(methods, table, DensityMetric(), store=store)
         warm_store = ScoreStore(backend=harness.reopen())
         warm = sweep_methods(methods, table, DensityMetric(),
                              store=warm_store)
-        assert serial == cold == warm
+        assert direct == cold == warm
         assert warm_store.stats.disk_hits == 2
 
 

@@ -9,9 +9,9 @@ from repro.evaluation import (DEFAULT_SHARES, average_stability,
                               backbone_pair_mask, coverage, network_design,
                               pair_grid, predicted_vs_observed_variance,
                               quality_ratio, recovery_by_method,
-                              recovery_jaccard, share_sweep,
-                              stability_spearman, sweep_methods,
+                              recovery_jaccard, stability_spearman,
                               weights_for_pairs)
+from repro.flow import sweep_methods
 from repro.generators import add_noise, barabasi_albert
 from repro.graph import EdgeTable
 
@@ -142,18 +142,18 @@ class TestStability:
 class TestSweep:
     def test_budgeted_sweep_shapes(self, small_world):
         table = small_world.network("trade", 0)
-        series = share_sweep(NaiveThreshold(), table,
-                             lambda bb: coverage(table, bb),
-                             shares=(0.1, 0.5, 1.0))
+        series = sweep_methods([NaiveThreshold()], table,
+                               lambda bb: coverage(table, bb),
+                               shares=(0.1, 0.5, 1.0))["NT"]
         assert series.shares == [0.1, 0.5, 1.0]
         assert len(series.values) == 3
         assert not series.parameter_free
 
     def test_coverage_rises_with_share(self, small_world):
         table = small_world.network("flight", 0)
-        series = share_sweep(NaiveThreshold(), table,
-                             lambda bb: coverage(table, bb),
-                             shares=DEFAULT_SHARES)
+        series = sweep_methods([NaiveThreshold()], table,
+                               lambda bb: coverage(table, bb),
+                               shares=DEFAULT_SHARES)["NT"]
         assert series.values[-1] == pytest.approx(1.0)
         assert all(a <= b + 1e-9 for a, b
                    in zip(series.values, series.values[1:]))
@@ -162,8 +162,8 @@ class TestSweep:
         from repro.backbones import MaximumSpanningTree
 
         table = small_world.network("trade", 0)
-        series = share_sweep(MaximumSpanningTree(), table,
-                             lambda bb: coverage(table, bb))
+        series = sweep_methods([MaximumSpanningTree()], table,
+                               lambda bb: coverage(table, bb))["MST"]
         assert series.parameter_free
         assert len(series.shares) == 1
         assert series.values[0] == pytest.approx(1.0)

@@ -1,14 +1,15 @@
 """Tests for the repro.flow request API.
 
 Covers the acceptance contract of ISSUE 5: for every backbone method
-a plan run is bit-identical to the legacy extraction path, sweep
-compilation is bit-identical to ``sweep_methods``, and a batch of
+a plan run is bit-identical to the legacy extraction path, a compiled
+sweep is bit-identical to direct scoring, and a batch of
 same-source plans performs exactly one scoring pass (verified against
 the store's traffic counters and a score spy). Plus: plan JSON
 artifacts, fingerprints, the ``filter_spec``/``describe`` hooks, the
 share-rounding unification and the flow-facing CLI subcommands.
 """
 
+import importlib
 import json
 import pickle
 
@@ -16,16 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_reference import direct_sweep
 
 from repro.backbones.base import ScoredEdges
 from repro.backbones.doubly_stochastic import SinkhornConvergenceError
 from repro.backbones.naive import NaiveThreshold
 from repro.backbones.registry import get_method, method_codes, paper_methods
 from repro.cli import main
-from repro.evaluation.sweep import sweep_methods
 from repro.flow import (FlowResult, Plan, PlanSerializationError, flow,
-                        serve, sweep_plans)
-from repro.flow.sweep import run_sweep_plans
+                        serve, sweep_methods, sweep_plans)
 from repro.graph.edge_table import EdgeTable
 from repro.graph.ingest import write_edges
 from repro.pipeline import ScoreStore
@@ -276,40 +276,44 @@ class TestSweepCompilation:
     def test_plan_batch_matches_sweep_methods(self, table):
         metric = CoverageMetric(table)
         shares = (0.1, 0.35, 1.0)
-        serial = sweep_methods(paper_methods(), table, metric,
-                               shares=shares)
-        compiled = run_sweep_plans(paper_methods(), table, metric,
-                                   shares=shares)
-        assert serial == compiled
+        direct = direct_sweep(paper_methods(), table, metric,
+                              shares=shares)
+        compiled = sweep_methods(paper_methods(), table, metric,
+                                 shares=shares)
+        assert direct == compiled
 
-    def test_sweep_methods_store_routes_through_flow(self, table,
-                                                     monkeypatch):
-        calls = []
-        from repro.flow import sweep as flow_sweep
+    def test_sweep_methods_always_serves_one_batch(self, table,
+                                                   monkeypatch):
+        # With or without a store, a sweep is one served plan batch:
+        # no caller option picks a second code path.
+        flow_sweep = importlib.import_module("repro.flow.sweep")
+        batches = []
+        original = flow_sweep.serve
 
-        original = flow_sweep.run_sweep_plans
+        def spying(plans, **kwargs):
+            batches.append(len(plans))
+            return original(plans, **kwargs)
 
-        def spying(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(flow_sweep, "run_sweep_plans", spying)
+        monkeypatch.setattr(flow_sweep, "serve", spying)
         metric = DensityMetric()
-        serial = sweep_methods([NaiveThreshold()], table, metric)
+        shares = (0.2, 0.8)
+        plain = sweep_methods([NaiveThreshold()], table, metric,
+                              shares=shares)
         cached = sweep_methods([NaiveThreshold()], table, metric,
-                               store=ScoreStore())
-        assert calls == [1]
-        assert serial == cached
+                               shares=shares, store=ScoreStore())
+        assert batches == [2, 2]
+        direct = direct_sweep([NaiveThreshold()], table, metric,
+                              shares=shares)
+        assert plain == cached == direct
 
     def test_unscorable_method_maps_to_empty_series(self):
         star = EdgeTable([0, 0, 0], [1, 2, 3], [5.0, 4.0, 3.0],
                          directed=False)
         methods = [get_method("DS"), NaiveThreshold()]
         metric = DensityMetric()
-        serial = sweep_methods(methods, star, metric, shares=(0.5, 1.0))
-        compiled = run_sweep_plans(methods, star, metric,
-                                   shares=(0.5, 1.0))
-        assert compiled == serial
+        direct = direct_sweep(methods, star, metric, shares=(0.5, 1.0))
+        compiled = sweep_methods(methods, star, metric, shares=(0.5, 1.0))
+        assert compiled == direct
         assert compiled["DS"].shares == []
 
     def test_sweep_plans_shape(self, table):
@@ -324,11 +328,11 @@ class TestSweepCompilation:
 
     def test_file_sweep_matches_table_sweep(self, table, edges_csv):
         metric = DensityMetric()
-        by_table = run_sweep_plans([NaiveThreshold()], table, metric,
-                                   shares=(0.2, 0.8))
-        by_file = run_sweep_plans([NaiveThreshold()],
-                                  flow(str(edges_csv), directed=False),
-                                  metric, shares=(0.2, 0.8))
+        by_table = sweep_methods([NaiveThreshold()], table, metric,
+                                 shares=(0.2, 0.8))
+        by_file = sweep_methods([NaiveThreshold()],
+                                flow(str(edges_csv), directed=False),
+                                metric, shares=(0.2, 0.8))
         assert by_table == by_file
 
 

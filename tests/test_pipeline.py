@@ -3,8 +3,9 @@
 Covers the cache-correctness contract: fingerprints identify content
 exactly, cached ``ScoredEdges`` round-trip bit-identically, poisoned
 store entries are detected and recomputed (never served), and cached
-and sharded execution through :func:`repro.flow.serve` matches the
-plain serial path, with the store's traffic counted once per request.
+and sharded execution through :func:`repro.flow.serve` matches direct
+scoring by the methods themselves, with the store's traffic counted
+once per request.
 """
 
 import importlib
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_reference import direct_sweep, direct_table2_ratios
 
 from repro.backbones.base import ScoredEdges
 from repro.backbones.disparity import DisparityFilter
@@ -25,8 +27,7 @@ from repro.backbones.naive import NaiveThreshold
 from repro.backbones.registry import paper_methods
 from repro.core.noise_corrected import (NoiseCorrectedBackbone,
                                         NoiseCorrectedPValue)
-from repro.evaluation.sweep import sweep_methods
-from repro.flow import flow, serve
+from repro.flow import flow, serve, sweep_methods
 from repro.graph.edge_table import EdgeTable
 from repro.pipeline import (CoverageMetric, DensityMetric, ScoreStore,
                             SQLiteBackend, fingerprint_method,
@@ -284,29 +285,31 @@ class TestExecutor:
         table = random_table(10, n_nodes=30, n_edges=140)
         methods = paper_methods()
         metric = CoverageMetric(table)
-        serial = sweep_methods(methods, table, metric)
+        direct = direct_sweep(methods, table, metric)
+        plain = sweep_methods(methods, table, metric)
         store = ScoreStore(tmp_path)
         cached = sweep_methods(methods, table, metric, store=store)
         warm = sweep_methods(methods, table, metric, store=store)
         sharded = sweep_methods(methods, table, metric, store=store,
                                 workers=2)
-        assert serial == cached == warm == sharded
+        assert direct == plain == cached == warm == sharded
         assert store.stats.hits > 0
 
     def test_cached_and_sharded_raise_what_serial_raises(self):
-        # Self-loops only: NC's grand total is zero. The serial sweep
-        # raises; the cached and sharded sweeps must raise the same
-        # error, not fold it into an empty "n/a" series. (Two methods,
-        # so workers=2 really fans the scoring out.)
+        # Self-loops only: NC's grand total is zero. Scoring NC
+        # directly raises; plain, cached and sharded sweeps must raise
+        # the same error, not fold it into an empty "n/a" series. (Two
+        # methods, so workers=2 really fans the scoring out.)
         table = EdgeTable([0, 1], [0, 1], [1.0, 2.0], directed=False)
         methods = [NaiveThreshold(), NoiseCorrectedBackbone()]
-        with pytest.raises(ValueError, match="grand_total") as serial:
-            sweep_methods(methods, table, DensityMetric())
-        for workers in (None, 2):
+        with pytest.raises(ValueError, match="grand_total") as direct:
+            direct_sweep(methods, table, DensityMetric())
+        for store, workers in ((None, None), (ScoreStore(), None),
+                               (ScoreStore(), 2)):
             with pytest.raises(ValueError, match="grand_total") as info:
                 sweep_methods(methods, table, DensityMetric(),
-                              store=ScoreStore(), workers=workers)
-            assert str(info.value) == str(serial.value)
+                              store=store, workers=workers)
+            assert str(info.value) == str(direct.value)
 
     def test_warm_store_skips_rescoring(self, tmp_path, monkeypatch):
         table = random_table(11)
@@ -362,7 +365,7 @@ class TestExecutor:
                                 store=store, workers=2)
         assert (store.stats.misses, store.stats.puts) == (2, 2)
         assert store.stats.hits == 0
-        assert sharded == sweep_methods(methods, table, DensityMetric())
+        assert sharded == direct_sweep(methods, table, DensityMetric())
 
     def test_warm_parent_store_serves_sharded_sweeps(self, monkeypatch):
         # Regression: a warm memory-only store must be consulted before
@@ -402,12 +405,14 @@ class TestExecutor:
 
     def test_parameter_free_series_matches_serial(self, tmp_path):
         table = random_table(14)
-        serial = sweep_methods([MaximumSpanningTree()], table,
-                               DensityMetric())
+        direct = direct_sweep([MaximumSpanningTree()], table,
+                              DensityMetric())
+        plain = sweep_methods([MaximumSpanningTree()], table,
+                              DensityMetric())
         cached = sweep_methods([MaximumSpanningTree()], table,
                                DensityMetric(),
                                store=ScoreStore(tmp_path))
-        assert serial == cached
+        assert direct == plain == cached
         assert cached["MST"].parameter_free
 
 
@@ -558,13 +563,13 @@ class TestSQLiteThroughPipeline:
         table = random_table(26, n_nodes=30, n_edges=140)
         methods = paper_methods()
         metric = CoverageMetric(table)
-        serial = sweep_methods(methods, table, metric)
+        direct = direct_sweep(methods, table, metric)
         store = ScoreStore(tmp_path / "scores.sqlite")
         cold = sweep_methods(methods, table, metric, store=store)
         warm = sweep_methods(methods, table, metric, store=store)
         sharded = sweep_methods(methods, table, metric, store=store,
                                 workers=2)
-        assert serial == cold == warm == sharded
+        assert direct == cold == warm == sharded
         assert store.stats.hits > 0
 
     def test_workers_share_sqlite_file(self, tmp_path, monkeypatch):
@@ -601,14 +606,45 @@ class TestExperimentsThroughPipeline:
         from repro.generators.world import SyntheticWorld
 
         world = SyntheticWorld(n_countries=25, n_years=2, seed=0)
-        kwargs = dict(world=world, shares=(0.1, 0.5, 1.0),
-                      networks=("trade", "country_space"))
-        serial = fig7_topology.run(**kwargs)
+        shares = (0.1, 0.5, 1.0)
+        networks = ("trade", "country_space")
+        kwargs = dict(world=world, shares=shares, networks=networks)
+        plain = fig7_topology.run(**kwargs)
         store = ScoreStore(tmp_path)
         cached = fig7_topology.run(store=store, **kwargs)
         sharded = fig7_topology.run(store=store, workers=2, **kwargs)
-        assert serial.sweeps == cached.sweeps == sharded.sweeps
+        direct = {}
+        for name in networks:
+            table = world.network(name, 0)
+            direct[name] = direct_sweep(paper_methods(), table,
+                                        CoverageMetric(table),
+                                        shares=shares)
+        assert direct == plain.sweeps == cached.sweeps == sharded.sweeps
         assert store.stats.hits > 0
+
+    def test_fig8_matches_direct_scoring(self, tmp_path):
+        from repro.experiments import fig8_stability
+        from repro.generators.world import SyntheticWorld
+        from repro.pipeline import StabilityMetric
+
+        world = SyntheticWorld(n_countries=25, n_years=2, seed=0)
+        shares = (0.1, 0.5, 1.0)
+        networks = ("migration", "trade")
+        kwargs = dict(world=world, shares=shares, networks=networks)
+        plain = fig8_stability.run(**kwargs)
+        cached = fig8_stability.run(store=ScoreStore(tmp_path), **kwargs)
+        sharded = fig8_stability.run(workers=2, **kwargs)
+        direct = {}
+        for name in networks:
+            years = world.years(name)
+            direct[name] = direct_sweep(paper_methods(), years[0],
+                                        StabilityMetric(tuple(years)),
+                                        shares=shares)
+        assert direct == plain.sweeps == cached.sweeps == sharded.sweeps
+        values = [value for by_method in direct.values()
+                  for series in by_method.values()
+                  for value in series.values]
+        assert values and not any(np.isnan(values))
 
     def test_table2_with_store_matches_serial(self, tmp_path):
         from repro.experiments import table2_quality
@@ -616,7 +652,24 @@ class TestExperimentsThroughPipeline:
 
         world = SyntheticWorld(n_countries=25, n_years=2, seed=0)
         kwargs = dict(world=world, networks=("trade",), budget_share=0.2)
-        serial = table2_quality.run(**kwargs)
+        plain = table2_quality.run(**kwargs)
         cached = table2_quality.run(store=ScoreStore(tmp_path), **kwargs)
-        assert serial.ratios == cached.ratios
-        assert serial.budgets == cached.budgets
+        m = world.network("trade", 0).without_self_loops().m
+        budgets = {"trade": max(10, round(0.2 * m))}
+        direct = direct_table2_ratios(world, budgets)
+        assert direct == plain.ratios == cached.ratios
+        assert budgets == plain.budgets == cached.budgets
+
+    def test_table2_hss_budget_matches_direct_scoring(self):
+        # Without budget_share, a plan run of HSS sets the budget and
+        # HSS itself keeps its natural size in the extraction batch.
+        from repro.experiments import table2_quality
+        from repro.generators.world import SyntheticWorld
+
+        world = SyntheticWorld(n_countries=25, n_years=2, seed=0)
+        result = table2_quality.run(world=world, networks=("trade",))
+        hss_m = HighSalienceSkeleton().extract(world.network("trade", 0)).m
+        assert hss_m >= 10  # the HSS backbone, not the fallback, sets it
+        assert result.budgets == {"trade": hss_m}
+        assert result.ratios == direct_table2_ratios(
+            world, result.budgets, hss_sets_budget=True)

@@ -48,3 +48,32 @@ class TestRunAllTiny:
 
     def test_results_and_sections_aligned(self, tiny_report):
         assert set(tiny_report.results) == set(tiny_report.sections)
+
+
+def test_run_all_shares_one_store(monkeypatch):
+    # Figs. 7-8 and Table II score over one store with no knob set:
+    # Fig. 7 scores each (network, method) pair once, and the later
+    # experiments are served from its entries.
+    from repro.experiments import (fig7_topology, fig8_stability,
+                                   table2_quality)
+
+    seen = {}
+    for name, module in (("fig7", fig7_topology),
+                         ("fig8", fig8_stability),
+                         ("table2", table2_quality)):
+        def recording(*args, _name=name, _run=module.run, **kwargs):
+            store = kwargs.get("store")
+            before = None if store is None else store.stats.puts
+            result = _run(*args, **kwargs)
+            after = None if store is None else store.stats.puts
+            seen[_name] = (store, before, after)
+            return result
+
+        monkeypatch.setattr(module, "run", recording)
+    run_all(seed=0, tiny=True)
+    store = seen["fig7"][0]
+    assert store is not None
+    assert all(entry[0] is store for entry in seen.values())
+    puts = {name: after - before
+            for name, (_, before, after) in seen.items()}
+    assert puts == {"fig7": 36, "fig8": 0, "table2": 0}
