@@ -12,8 +12,9 @@ asserts the ingestion contract:
 * the binary ``.npz`` format loads at least **5x** faster than *any*
   CSV path (in practice it skips parsing entirely), again
   bit-identically;
-* the decimal-weight fast path (C float parsing over gathered byte
-  runs) still clears the legacy reader by a wide margin.
+* the decimal-weight fast path (the exact Eisel–Lemire kernel over
+  SWAR digit lanes, with numpy's C float parser only for the rows it
+  flags) still clears the legacy reader by a wide margin.
 """
 
 import numpy as np
@@ -125,6 +126,7 @@ def test_decimal_weight_fast_path(benchmark, tmp_path):
         title="Ingest: decimal-weight dump"))
     assert np.array_equal(legacy.weight, chunked.weight)
     assert legacy == chunked
-    # The decimal path gives up SWAR integer parsing for the C float
-    # parser; it must still beat the row loop comfortably.
+    # Decimal weights take the exact decimal kernel (up to four digit
+    # lanes and a 128-bit product per row) instead of one integer
+    # lane; it must still beat the row loop comfortably.
     assert legacy_s / chunked_s >= 2.0

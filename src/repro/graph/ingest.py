@@ -18,8 +18,10 @@ ingestion layer behind :mod:`repro.graph.io`:
 
   1. **byte-level fast path** — newline/delimiter positions via
      ``np.flatnonzero``, digit-run endpoints and integer weights
-     parsed by a vectorized place-value gather, decimal weights
-     handed as one buffer to numpy's C float parser;
+     parsed by SWAR arithmetic on 8-byte lanes, decimal weights
+     converted exactly by a vectorised Eisel–Lemire kernel over the
+     same lanes; only the rows it cannot prove exact (``nan``, 20+
+     significant digits, ...) reach numpy's C float parser;
   2. **token path** — ``np.loadtxt``'s C tokenizer over the block for
      labeled endpoints or exotic numbers;
   3. **row path** — the ``csv`` module, byte-compatible with the
@@ -72,9 +74,10 @@ NPZ_FORMAT_VERSION = 1
 
 _NPZ_REQUIRED = ("src", "dst", "weight", "n_nodes", "directed")
 
-#: ``np.fromstring`` (text mode) is deprecated but is by far the
-#: fastest route from a byte run to parsed doubles; when a future
-#: numpy drops it, the token tier takes over transparently.
+#: ``np.fromstring`` (text mode) is deprecated; it parses only the
+#: rare decimal weights the exact kernel flags (see
+#: :func:`_parse_decimal_runs`). When a future numpy drops it, a block
+#: holding such a row escalates to the token tier instead.
 _HAVE_FROMSTRING = hasattr(np, "fromstring")
 
 
@@ -461,11 +464,10 @@ class _ReaderState:
 
     def consume(self, block: bytes) -> None:
         """Parse one quote-free, newline-terminated block."""
-        block = block.replace(b"\r\n", b"\n")
         if b"\r" in block:
-            # Bare carriage returns (old-Mac rows): the csv module
-            # treats them as row terminators; so do we.
-            block = block.replace(b"\r", b"\n")
+            # Bare carriage returns (old-Mac rows) terminate rows for
+            # the csv module, so they do here too; CRLF is one break.
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not self.saw_header:
             block = block[block.find(b"\n") + 1:]
             self.saw_header = True
@@ -534,9 +536,13 @@ def _parse_block_fast(data: np.ndarray, delim: int
     as_int = _parse_int_runs(data, c2 + 1, weight_end)
     if as_int is not None:
         return src, dst, as_int.astype(np.float64)
-    weight = _parse_float_fields(data, c2 + 1, weight_end)
-    if weight is None:
-        return None
+    weight, flagged = _parse_decimal_runs(data, c2 + 1, weight_end)
+    if flagged.any():
+        rows = np.flatnonzero(flagged)
+        rest = _parse_float_fields(data, c2[rows] + 1, weight_end[rows])
+        if rest is None:
+            return None
+        weight[rows] = rest
     return src, dst, weight
 
 
@@ -596,65 +602,277 @@ _WIDTH_KEEP = np.array(
     [0] + [(0xFFFFFFFFFFFFFFFF << (8 * (8 - width)))
            & 0xFFFFFFFFFFFFFFFF for width in range(1, 9)],
     dtype=np.uint64)
+#: Longest digit run read: three lanes.
+_MAX_RUN = 24
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+
+
+def _byte_lanes(data: np.ndarray) -> np.ndarray:
+    """Overlapping little-endian uint64 lanes over ``data``.
+
+    ``lanes[end]`` holds the eight bytes ``data[end-8:end]``, ``'0'``
+    padded before the first byte; a gather from this unaligned view
+    reads one lane per run.
+    """
+    padded = np.concatenate([np.full(8, 0x30, dtype=np.uint8), data])
+    return np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded,
+                      strides=(1,))
+
+
+def _digit_lanes(lanes: np.ndarray, ends: np.ndarray,
+                 widths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``widths`` (0-8) bytes before each of ``ends`` as one lane.
+
+    Returns the lanes with ASCII ``'0'`` removed and bytes outside the
+    width cleared, plus a per-lane flag for any non-digit byte.
+    """
+    lanes = (lanes[ends] ^ _ASCII_ZEROS) & _WIDTH_KEEP[widths]
+    return lanes, ((lanes | (lanes + _DIGIT_PROBE)) & _HIGH_BITS) != 0
+
+
+def _lane_values(lanes: np.ndarray) -> np.ndarray:
+    """Collapse digit lanes to their values: three SWAR rounds."""
+    lanes = (lanes & _NIBBLES) * _PAIR_MUL >> _SHIFT_8
+    lanes = (lanes & _PAIR_MASK) * _QUAD_MUL >> _SHIFT_16
+    return (lanes & _QUAD_MASK) * _FULL_MUL >> _SHIFT_32
+
+
+def _digit_run_values(lanes: np.ndarray, starts: np.ndarray,
+                      ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Values of digit runs of up to 24 bytes, leading zeros allowed.
+
+    Returns the uint64 values and a per-run flag for runs that are
+    longer, hold a non-digit, or reach ``10**19``.
+    """
+    widths = ends - starts
+    values, flagged = _digit_lanes(lanes, ends, np.clip(widths, 0, 8))
+    values = _lane_values(values)
+    flagged |= widths > _MAX_RUN
+    # Lanes further left, only for the runs that reach them.
+    for lane in (1, 2):
+        rows = np.flatnonzero(widths > 8 * lane)
+        if not len(rows):
+            break
+        digits, non_digit = _digit_lanes(
+            lanes, ends[rows] - 8 * lane,
+            np.minimum(widths[rows] - 8 * lane, 8))
+        digits = _lane_values(digits)
+        if lane == 2:
+            non_digit |= digits >= np.uint64(1000)  # the run >= 10**19
+        flagged[rows] |= non_digit
+        values[rows] += digits * _POW10[8 * lane]
+    return values, flagged
 
 
 def _parse_int_runs(data: np.ndarray, starts: np.ndarray,
                     ends: np.ndarray) -> Optional[np.ndarray]:
     """Parse ``[start, end)`` byte runs as base-10 integers.
 
-    Runs of at most 8 digits (the common case: node ids and count
-    weights) are parsed as uint64 lanes — one 8-byte sliding-window
-    gather per run, then three SWAR rounds for the whole block at
-    once. Longer runs up to 15 digits take a place-value digit
-    matrix. ``None`` when any run is empty, longer than 15 digits,
-    contains a non-digit byte, or is a *non-canonical* spelling
-    (leading zeros, e.g. ``007``) — the last so that an integer
-    accepted here can always be re-spelled exactly, should a later
-    block reveal the file to be labeled.
+    Each run is read as one or two uint64 lanes — an 8-byte gather per
+    lane, then three SWAR rounds for the whole block at once (see
+    :func:`_digit_run_values`). ``None`` when any run is empty, longer
+    than 15 digits, contains a non-digit byte, or is a *non-canonical*
+    spelling (leading zeros, e.g. ``007``) — the last so that an
+    integer accepted here can always be re-spelled exactly, should a
+    later block reveal the file to be labeled.
     """
     widths = ends - starts
     if len(widths) == 0:
         return np.empty(0, dtype=np.int64)
-    if widths.min() < 1:
+    if widths.min() < 1 or widths.max() > 15:
         return None
-    max_width = int(widths.max())
-    if max_width > 15:
+    values, flagged = _digit_run_values(_byte_lanes(data), starts, ends)
+    if flagged.any() or ((data[starts] == 48) & (widths > 1)).any():
         return None
-    if max_width > 8:
-        return _parse_digit_matrix(data, starts, ends, max_width)
-    padded = np.concatenate([np.full(8, 0x30, dtype=np.uint8), data])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 8)
-    lanes = windows[ends].view("<u8").ravel()
-    lanes = (lanes ^ _ASCII_ZEROS) & _WIDTH_KEEP[widths]
-    if (((lanes | (lanes + _DIGIT_PROBE)) & _HIGH_BITS)).any():
-        return None
-    shift = ((np.uint64(8) - widths.astype(np.uint64)) * _SHIFT_8)
-    leading = (lanes >> shift) & np.uint64(0xFF)
-    if ((leading == 0) & (widths > 1)).any():
-        return None
-    lanes = (lanes & _NIBBLES) * _PAIR_MUL >> _SHIFT_8
-    lanes = (lanes & _PAIR_MASK) * _QUAD_MUL >> _SHIFT_16
-    lanes = (lanes & _QUAD_MASK) * _FULL_MUL >> _SHIFT_32
-    return lanes.view(np.int64)
+    return values.view(np.int64)
 
 
-def _parse_digit_matrix(data: np.ndarray, starts: np.ndarray,
-                        ends: np.ndarray,
-                        max_width: int) -> Optional[np.ndarray]:
-    """Place-value fallback for 9-15 digit runs (exact in int64)."""
-    positions = ends[:, None] - np.arange(max_width, 0, -1,
-                                          dtype=np.int64)[None, :]
-    valid = positions >= starts[:, None]
-    digits = data[np.where(valid, positions, 0)].astype(np.int64) - 48
-    digits = np.where(valid, digits, 0)
-    if ((digits < 0) | (digits > 9)).any():
-        return None
-    widths = ends - starts
-    leading = digits[np.arange(len(digits)), max_width - widths]
-    if ((leading == 0) & (widths > 1)).any():
-        return None  # non-canonical spelling; see _parse_int_runs
-    place = 10 ** np.arange(max_width - 1, -1, -1, dtype=np.int64)
-    return (digits * place).sum(axis=1)
+# Exact decimal -> double conversion (Eisel-Lemire). A field spelled
+# ``[+-]digits[.digits][(e|E)[+-]ddd]`` is read as ``w * 10**q`` with
+# ``w < 10**19``; the product with a 128-bit truncated power of five
+# then yields the correctly rounded double for every such pair, with no
+# fallback (Lemire, arXiv 2101.11408; Mushtak & Lemire, "Fast number
+# parsing without fallback", 2023).
+_MIN_Q = -342
+_MAX_Q = 308
+_LOW_32 = np.uint64(0xFFFFFFFF)
+_ONE = np.uint64(1)
+_INF_POWER = 0x7FF
+_INF_BITS = np.uint64(_INF_POWER << 52)
+
+
+def _powers_of_five() -> Tuple[np.ndarray, np.ndarray]:
+    """High and low words of ``5**q`` for ``q`` in ``[-342, 308]``.
+
+    Each entry is normalised to 128 bits with the top bit set:
+    truncated for ``q >= 0`` and ``floor(2**b / 5**-q) + 1`` for
+    ``q < 0`` (``b`` chosen as in the fast_float tables).
+    """
+    high, low = [], []
+    for q in range(_MIN_Q, _MAX_Q + 1):
+        if q >= 0:
+            value = 5 ** q
+            value = value << max(128 - value.bit_length(), 0)
+        else:
+            power = 5 ** -q
+            bits = power.bit_length()
+            value = (1 << (bits + 127 if q >= -27 else 2 * bits + 128)) \
+                // power + 1
+        value >>= max(value.bit_length() - 128, 0)
+        high.append(value >> 64)
+        low.append(value & 0xFFFFFFFFFFFFFFFF)
+    return np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64)
+
+
+_POW5_HIGH, _POW5_LOW = _powers_of_five()
+
+
+def _multiply_128(a: np.ndarray,
+                  b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Full 64 x 64 -> 128-bit products ``(high, low)``, 32-bit halves."""
+    a_lo, a_hi = a & _LOW_32, a >> _SHIFT_32
+    b_lo, b_hi = b & _LOW_32, b >> _SHIFT_32
+    lo_lo = a_lo * b_lo
+    hi_lo = a_hi * b_lo
+    lo_hi = a_lo * b_hi
+    middle = (lo_lo >> _SHIFT_32) + (hi_lo & _LOW_32) + (lo_hi & _LOW_32)
+    low = (middle << _SHIFT_32) | (lo_lo & _LOW_32)
+    high = a_hi * b_hi + (hi_lo >> _SHIFT_32) + (lo_hi >> _SHIFT_32) \
+        + (middle >> _SHIFT_32)
+    return high, low
+
+
+def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Bit patterns of the doubles nearest ``w * 10**q``.
+
+    ``w`` is nonzero and below ``10**19``; ``q`` lies in
+    ``[-342, 308]``. Ties round half to even, overflow gives infinity,
+    and the result is unsigned. A vector transcription of fast_float's
+    ``compute_float`` for binary64.
+    """
+    _, length = np.frexp(w.astype(np.float64))
+    length = length.astype(np.int64)
+    # The float conversion can round up to the next power of two.
+    length -= (w >> (length - 1).astype(np.uint64)) == 0
+    zeros = 64 - length
+    w = w << zeros.astype(np.uint64)
+    index = q - _MIN_Q
+    high, low = _multiply_128(w, _POW5_HIGH[index])
+    # Fewer than 55 reliable bits: add the next 64 bits of the product.
+    short = np.flatnonzero((high & np.uint64(0x1FF)) == np.uint64(0x1FF))
+    if len(short):
+        extra, _ = _multiply_128(w[short], _POW5_LOW[index[short]])
+        summed = low[short] + extra
+        high[short] += (summed < extra).astype(np.uint64)
+        low[short] = summed
+    upper = high >> np.uint64(63)
+    shift = upper + np.uint64(9)  # 54 bits: 53 significant, 1 to round
+    mantissa = high >> shift
+    # floor(q * log2(10)) + 63 from a 16-bit fixed-point log2(10), plus
+    # the normalisation shifts and the binary64 exponent bias.
+    power2 = ((217706 * q) >> 16) + 63 + upper.astype(np.int64) - zeros \
+        + 1023
+    # Subnormals shift below the smallest exponent and round once; a
+    # carry out of that rounding lands on the smallest normal.
+    subnormal = np.flatnonzero(power2 <= 0)
+    tiny = mantissa[subnormal] \
+        >> np.minimum(1 - power2[subnormal], 63).astype(np.uint64)
+    tiny = (tiny + (tiny & _ONE)) >> _ONE
+    tiny[power2[subnormal] <= -63] = 0
+    # Exactly halfway between two doubles: round to the even one.
+    tie = np.flatnonzero(low <= _ONE)
+    tie = tie[(q[tie] >= -4) & (q[tie] <= 23)
+              & ((mantissa[tie] & np.uint64(3)) == _ONE)
+              & ((mantissa[tie] << shift[tie]) == high[tie])]
+    mantissa[tie] -= _ONE
+    rounded = (mantissa + (mantissa & _ONE)) >> _ONE
+    # ``power2 - 1`` plus a mantissa in [2**52, 2**53] carries a
+    # rounded-up 2**53 into the exponent; 0x7FF and up is infinity.
+    power2 = (np.clip(power2, 1, _INF_POWER) - 1).astype(np.uint64)
+    bits = np.minimum((power2 << np.uint64(52)) + rounded, _INF_BITS)
+    bits[subnormal] = tiny
+    return bits
+
+
+def _parse_decimal_runs(data: np.ndarray, starts: np.ndarray,
+                        ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Parse ``[start, end)`` byte runs as doubles, exactly, per row.
+
+    Reads an optional sign, up to 19 significant digits around an
+    optional dot (leading zeros are not counted) and an optional
+    ``e``/``E`` exponent of 1-3 digits into ``w * 10**q``, then
+    converts with :func:`_eisel_lemire`. Returns ``(values, flagged)``:
+    every row not flagged equals ``float()`` of its text bit for bit;
+    flagged rows (anything else: ``nan``, ``inf``, whitespace, 20+
+    digits, ``q`` outside ``[-342, 308]``) hold no meaningful value.
+
+    >>> text = b"0.1\\n-0.0\\n9007199254740993\\n1.5e-3\\nnan\\n"
+    >>> data = np.frombuffer(text, dtype=np.uint8)
+    >>> ends = np.flatnonzero(data == 10)
+    >>> starts = np.concatenate([[0], ends[:-1] + 1])
+    >>> values, flagged = _parse_decimal_runs(data, starts, ends)
+    >>> flagged.tolist()
+    [False, False, False, False, True]
+    >>> values[:4].tolist()
+    [0.1, -0.0, 9007199254740992.0, 0.0015]
+    >>> values[:4].tolist() == [float(s) for s in text.split()[:4]]
+    True
+    """
+    last = len(data) - 1
+    first = data[np.minimum(starts, last)]
+    negative = first == 45
+    body = starts + (negative | (first == 43))
+    flagged = ends <= starts
+    lanes = _byte_lanes(data)
+    # The exponent: at most one e/E per field, then 1-3 digits.
+    mantissa_end = ends
+    exponent = 0
+    marks = np.flatnonzero((data == 101) | (data == 69))
+    if len(marks):
+        first_mark = np.searchsorted(marks, body)
+        n_marks = np.searchsorted(marks, ends) - first_mark
+        flagged |= n_marks > 1
+        rows = np.flatnonzero(n_marks == 1)
+        at = marks[first_mark[rows]]
+        mantissa_end = ends.copy()
+        mantissa_end[rows] = at
+        sign = data[np.minimum(at + 1, last)]
+        widths = ends[rows] - (at + 1 + ((sign == 45) | (sign == 43)))
+        digits, non_digit = _digit_lanes(lanes, ends[rows],
+                                         np.clip(widths, 0, 3))
+        flagged[rows] |= non_digit | (widths < 1) | (widths > 3)
+        digits = _lane_values(digits).astype(np.int64)
+        exponent = np.zeros(len(starts), dtype=np.int64)
+        exponent[rows] = np.where(sign == 45, -digits, digits)
+    # The dot: at most one, before any exponent.
+    dots = np.flatnonzero(data == 46)
+    if len(dots) == len(body) and np.all(dots >= body) \
+            and np.all(dots < mantissa_end):
+        dot, has_dot = dots, True  # one per field: the common layout
+    else:
+        first_dot = np.searchsorted(dots, body)
+        n_dots = np.searchsorted(dots, mantissa_end) - first_dot
+        flagged |= n_dots > 1
+        has_dot = n_dots > 0
+        dot = np.where(has_dot, np.append(dots, 0)[first_dot],
+                       mantissa_end)
+    n_frac = mantissa_end - dot - has_dot
+    flagged |= (dot == body) & (n_frac == 0)  # no digit at all
+    whole, bad_whole = _digit_run_values(lanes, body, dot)
+    frac, bad_frac = _digit_run_values(lanes, dot + has_dot, mantissa_end)
+    flagged |= bad_whole | bad_frac
+    # w = whole * 10**n_frac + frac must stay below 10**19.
+    scale = np.minimum(n_frac, 19)
+    flagged |= whole >= _POW10[19 - scale]
+    w = whole * _POW10[scale] + frac
+    q = exponent - n_frac
+    zero = w == 0
+    flagged |= ~zero & ((q < _MIN_Q) | (q > _MAX_Q))
+    bits = _eisel_lemire(np.where(zero, _ONE, w),
+                         np.clip(q, _MIN_Q, _MAX_Q))
+    bits[zero] = 0
+    bits |= negative.astype(np.uint64) << np.uint64(63)
+    return bits.view(np.float64), flagged
 
 
 def _parse_float_fields(data: np.ndarray, starts: np.ndarray,

@@ -2,9 +2,10 @@
 
 Covers the three format round-trips (property-based, bit-identity),
 parity of the tiered chunked CSV reader against the historical
-row-loop reference, :class:`EdgeTableBuilder` semantics, the
-diagnostic file/line errors, and the streaming file fingerprints with
-their store bindings.
+row-loop reference, the exact decimal-weight kernel against
+``float()``, :class:`EdgeTableBuilder` semantics, the diagnostic
+file/line errors, and the streaming file fingerprints with their store
+bindings.
 """
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import ingest
 from repro.graph.edge_table import EdgeTable, coalesce_edges
-from repro.graph.ingest import (EdgeTableBuilder, detect_format,
+from repro.graph.ingest import (EdgeTableBuilder, _parse_decimal_runs,
+                                detect_format,
                                 read_edge_csv_rows, read_edge_npz,
                                 read_edges, write_edge_npz, write_edges)
 from repro.pipeline import (ScoreStore, fingerprint_file,
@@ -234,6 +237,16 @@ class TestLegacyParity:
                     "0,1,2.0\n",
         "nine_digit": "src,dst,weight\n123456789,987654321,"
                       "123456789012\n1,2,3\n",
+        "exponents": "src,dst,weight\n0,1,1.5E+3\n1,2,2e-7\n"
+                     "2,3,3.25e0\n",
+        "negative_zero": "src,dst,weight\n0,1,-0.0\n1,2,2.5\n",
+        "leading_zero_decimals":
+            "src,dst,weight\n0,1,0.000123456789012345678\n1,2,0.5\n",
+        # One 25-digit mantissa among kernel-parsed rows: its fallback
+        # value must land in its own slot.
+        "mixed_fallback": "src,dst,weight\n0,1,1.25\n1,2,0.75\n"
+                          "2,3,1.234567890123456789012345\n3,4,2.5\n"
+                          "4,5,0.125\n",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -344,6 +357,148 @@ class TestLegacyParity:
         for block_bytes in (64, 999):
             assert_tables_identical(
                 reference, read_edges(path, block_bytes=block_bytes))
+
+
+# ----------------------------------------------------------------------
+# The exact decimal-weight kernel against float()
+# ----------------------------------------------------------------------
+
+def parse_decimals(texts):
+    """Run the decimal kernel over ``texts``, one per line."""
+    data = np.frombuffer(("\n".join(texts) + "\n").encode(),
+                         dtype=np.uint8)
+    ends = np.flatnonzero(data == 10)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    return _parse_decimal_runs(data, starts, ends)
+
+
+def float_bits(texts):
+    """``float()`` of each text as raw bits (so ``-0.0`` counts)."""
+    return np.array([float(text) for text in texts]).view(np.uint64)
+
+
+@st.composite
+def decimal_spellings(draw):
+    """A finite double spelled by ``repr`` or a printf format, with
+    optional leading zeros, sign and upper-case exponent marker."""
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    style = draw(st.sampled_from(["repr", "g", "e", "f"]))
+    precision = draw(st.integers(0, 19))
+    text = repr(value) if style == "repr" \
+        else f"%.{precision}{style}" % value
+    if draw(st.booleans()):
+        sign = "-" if text.startswith("-") else ""
+        text = sign + "0" * draw(st.integers(1, 4)) + text[len(sign):]
+    if not text.startswith("-") and draw(st.booleans()):
+        text = draw(st.sampled_from("+-")) + text
+    if draw(st.booleans()):
+        text = text.upper()
+    return text
+
+
+class TestDecimalKernel:
+    #: Rows the kernel must parse, bit for bit: ties, powers of ten at
+    #: the exact-product edge, subnormals, extremes, 19 digits, and
+    #: mantissas whose double rounds up to the next power of two.
+    EXACT = [
+        "9007199254740993", str(2**53 + 3), str(2**53 + 5),
+        str(2**60 + 1), str(2**60 + 64), str(2**60 + 128),
+        str(2**54 - 1), str(2**63 - 512), str(2**63 - 1),
+        "1e22", "1e23", "2.2250738585072014e-308",
+        "2.2250738585072011e-308", "4.9e-324", "2.4703282292062328e-324",
+        "1.7976931348623157e308", "1.7976931348623159e308",
+        "1234567890123456789", "9999999999999999999",
+        "0.1234567890123456789", "-0.0", "+1.5", "1.", ".5",
+        "00012.50", "0.000123456789012345678", "1E5", "1e+05", "0e999",
+    ]
+    #: Rows ``float()`` rejects or the kernel cannot prove exact
+    #: (20 significant digits, exponents outside [-342, 308]).
+    FLAGGED = ["nan", "inf", "1.5.3", ".", "-", "e5", "1e", " 1.5",
+               "1.5 ", "1e5e5", "1e1000", "1e309", "-1e-400",
+               "12345678901234567890", "0.12345678901234567890",
+               "1_000", "--1", ""]
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(decimal_spellings(), min_size=1, max_size=16))
+    def test_unflagged_rows_equal_float(self, texts):
+        values, flagged = parse_decimals(texts)
+        kept = ~flagged
+        assert np.array_equal(values.view(np.uint64)[kept],
+                              float_bits(texts)[kept])
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False,
+                                     allow_infinity=False),
+                           min_size=1, max_size=32))
+    def test_shortest_repr_is_never_flagged(self, values):
+        got, flagged = parse_decimals([repr(value) for value in values])
+        assert not flagged.any()
+        assert np.array_equal(got.view(np.uint64),
+                              np.array(values).view(np.uint64))
+
+    def test_exact_rows_are_parsed(self):
+        values, flagged = parse_decimals(self.EXACT)
+        assert not flagged.any()
+        assert np.array_equal(values.view(np.uint64),
+                              float_bits(self.EXACT))
+
+    def test_unprovable_rows_are_flagged(self):
+        # Interleaved with exact rows, so no flag leaks to a neighbour.
+        texts = [text for bad in self.FLAGGED for text in (bad, "2.5")]
+        values, flagged = parse_decimals(texts)
+        assert flagged.tolist() == [True, False] * len(self.FLAGGED)
+        assert values[1::2].tolist() == [2.5] * len(self.FLAGGED)
+
+    def test_random_doubles_in_every_spelling(self):
+        rng = np.random.default_rng(23)
+        bits = rng.integers(0, 2**63, 6000, dtype=np.uint64)
+        doubles = bits.view(np.float64)
+        doubles = doubles[np.isfinite(doubles)].tolist()
+        scaled = (rng.random(6000) * 10.0 ** rng.integers(-12, 12, 6000))
+        for pool in (doubles, scaled.tolist()):
+            for spell in (repr, "%.17g".__mod__, "%.15e".__mod__,
+                          "%.19g".__mod__, "%.12f".__mod__):
+                texts = [spell(value) for value in pool]
+                values, flagged = parse_decimals(texts)
+                assert np.array_equal(values.view(np.uint64)[~flagged],
+                                      float_bits(texts)[~flagged])
+                if spell is repr:
+                    assert not flagged.any()
+
+    @pytest.fixture
+    def fallback_rows(self, monkeypatch):
+        """Row counts of each call into the per-row float fallback."""
+        seen = []
+        real = ingest._parse_float_fields
+
+        def spy(data, starts, ends):
+            seen.append(len(starts))
+            return real(data, starts, ends)
+
+        monkeypatch.setattr(ingest, "_parse_float_fields", spy)
+        return seen
+
+    def test_written_tables_never_reach_the_fallback(self, tmp_path,
+                                                      fallback_rows):
+        rng = np.random.default_rng(5)
+        m = 4000
+        weight = np.where(rng.random(m) < 0.5, rng.random(m) * 100,
+                          rng.random(m) * 1e-3)
+        table = EdgeTable(rng.integers(0, 300, m), rng.integers(0, 300, m),
+                          weight, directed=True)
+        path = tmp_path / "decimal.csv"
+        write_edges(table, path)
+        for block_bytes in (1 << 10, 1 << 20):
+            assert_tables_identical(
+                table, read_edges(path, block_bytes=block_bytes))
+        assert sum(fallback_rows) == 0
+
+    def test_only_flagged_rows_reach_the_fallback(self, tmp_path,
+                                                  fallback_rows):
+        path = tmp_path / "mixed.csv"
+        path.write_text(TestLegacyParity.CASES["mixed_fallback"])
+        assert_tables_identical(read_edge_csv_rows(path), read_edges(path))
+        assert fallback_rows == [1]
 
 
 # ----------------------------------------------------------------------
