@@ -147,27 +147,31 @@ class BackboneMethod(ABC):
         """The filter phase of :meth:`extract`, on existing scores.
 
         This is the seam the pipeline cache relies on: given a cached
-        ``ScoredEdges``, it must reproduce ``extract`` exactly, so
-        methods whose extraction is more than a plain cut (NC's
-        δ-adjusted ranking, the spanning logic of MST/DS) override this
-        method rather than ``extract``.
+        ``ScoredEdges``, it must reproduce ``extract`` exactly. Every
+        budget cuts by :meth:`rank_values`, so a method whose ranking
+        is not its raw score (NC's δ rule) overrides that alone;
+        methods whose extraction is more than a cut (the spanning
+        logic of MST/DS) override this method rather than ``extract``.
         """
         threshold, share, n_edges = self._resolve_budget(threshold, share,
                                                          n_edges)
         if self.parameter_free:
             return scored.filter(0.0)
+        ranked = ScoredEdges(table=scored.table,
+                             score=self.rank_values(scored),
+                             method=self.name)
         if threshold is not None:
-            return scored.filter(threshold)
+            return ranked.filter(threshold)
         if share is not None:
-            return scored.top_share(share)
-        return scored.top_k(n_edges)
+            return ranked.top_share(share)
+        return ranked.top_k(n_edges)
 
     def rank_values(self, scored: ScoredEdges) -> np.ndarray:
         """Per-edge values this method's own budgets rank and cut by.
 
-        The raw score by default; NC overrides it with its δ rule. The
-        streaming filter phase ranks by it so it matches
-        :meth:`extract_from_scores`.
+        The raw score by default; NC overrides it with its δ rule.
+        :meth:`extract_from_scores` and the streaming filter phase both
+        cut by it.
         """
         return scored.score
 

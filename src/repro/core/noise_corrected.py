@@ -92,32 +92,27 @@ class NoiseCorrectedBackbone(BackboneMethod):
         return {"threshold": 0.0}
 
     def rank_values(self, scored: ScoredEdges) -> np.ndarray:
-        """The δ rule's ranking values, ``score - δ·sdev``."""
+        """The δ rule's ranking values, ``score - δ·sdev``.
+
+        Every NC budget (and the default δ rule) ranks and cuts by
+        these values through the base filter phase, so edge-budget
+        matched comparisons respect the NC ordering. The array is
+        built in one buffer: ``δ·sdev``, then ``score`` minus it in
+        place, the same operations and bits as the two-temporary
+        expression.
+        """
         if scored.sdev is None:
             raise ValueError("NC extraction needs per-edge sdev; these "
                              "scores carry none")
-        return scored.score - self.delta * scored.sdev
+        ranked = np.multiply(scored.sdev, self.delta)
+        return np.subtract(scored.score, ranked, out=ranked)
 
-    def extract_from_scores(self, scored: ScoredEdges,
-                            threshold: Optional[float] = None,
-                            share: Optional[float] = None,
-                            n_edges: Optional[int] = None) -> EdgeTable:
-        """δ-adjusted extraction on precomputed (possibly cached) scores.
-
-        All budgets (and the default δ rule) rank by
-        :meth:`rank_values`, so edge-budget matched comparisons respect
-        the NC ordering.
-        """
-        threshold, share, n_edges = self._resolve_budget(threshold, share,
-                                                         n_edges)
-        ranked = ScoredEdges(table=scored.table,
-                             score=self.rank_values(scored),
-                             method=self.name, sdev=scored.sdev)
-        if threshold is not None:
-            return ranked.filter(threshold)
-        if share is not None:
-            return ranked.top_share(share)
-        return ranked.top_k(n_edges)
+    #: NC's filter phase is the base one, which ranks by
+    #: :meth:`rank_values`. It is bound here as well so that NC's
+    #: extraction stays an attribute of this class: perfbench's
+    #: ``extract`` layer times ``NoiseCorrectedBackbone``'s own
+    #: ``extract_from_scores``.
+    extract_from_scores = BackboneMethod.extract_from_scores
 
     def adjusted_scores(self, table: EdgeTable) -> ScoredEdges:
         """Scores shifted by ``-δ·sd`` (the distribution of paper Fig. 2)."""

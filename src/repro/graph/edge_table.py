@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -573,6 +574,16 @@ class EdgeTable:
             shape=(self.n_nodes, self.n_nodes))
 
 
+#: The candidate pre-pass of :func:`top_k_rows` runs on more than this
+#: many rows, samples about this many of them, and places its bound
+#: ``_SAMPLE_SIGMAS`` standard deviations plus ``_SAMPLE_SLACK`` sample
+#: ranks beyond where the ``k``-th best value is expected.
+_PREPASS_MIN_ROWS = 1 << 17
+_SAMPLE_ROWS = 1 << 14
+_SAMPLE_SIGMAS = 3.0
+_SAMPLE_SLACK = 8
+
+
 def top_k_rows(values: np.ndarray, weight: np.ndarray,
                k: int) -> np.ndarray:
     """Ascending positions of the ``k`` best rows under
@@ -586,12 +597,71 @@ def top_k_rows(values: np.ndarray, weight: np.ndarray,
     value; rows strictly better are kept, and only the rows tying
     that value are sorted by ``(-weight, row)`` to fill the places
     left.
+
+    On more than ``2**17`` rows, a pre-pass first narrows the rows the
+    selection sees (sampled selection, Floyd & Rivest, CACM 1975).
+    Every ``m // 2**14``-th value forms a sample of ``s`` values, of
+    which ``e = k·s/m`` are expected in the top ``k``. The bound is the
+    sample's ``r``-th best value (counting from 0) for
+    ``r = ⌊e + 3√e + 8⌋``, a margin that places it below the ``k``-th
+    best value of a random column with high probability. The selection
+    then runs only on the rows with ``values >= bound``, kept in
+    ascending row order. When at least ``k`` rows clear the bound, the
+    ``k``-th best value is at or above it, so every row better than or
+    tying that value is a candidate, and the candidates rank among
+    themselves exactly as in the whole column: the result is
+    unchanged. The selection runs on every row instead when fewer than
+    ``k`` rows clear the bound (a NaN-heavy or unluckily periodic
+    column), or when the candidates would be a quarter of the rows or
+    more (``4r >= s`` before the scan, ``4·count >= m`` after it).
+
+    Of 262,144 random rows, the selection of the best 100 sees 282:
+
+    >>> rng = np.random.default_rng(0)
+    >>> values, weight = rng.random(1 << 18), rng.random(1 << 18)
+    >>> len(_candidate_rows(values, 100))
+    282
+    >>> order = np.lexsort((np.arange(1 << 18), -weight, -values))
+    >>> bool((top_k_rows(values, weight, 100)
+    ...       == np.sort(order[:100])).all())
+    True
     """
     m = len(values)
     if k >= m:
         return np.arange(m)
     if k <= 0:
         return np.empty(0, dtype=np.intp)
+    rows = _candidate_rows(values, k)
+    if rows is None:
+        return _select_rows(values, weight, k)
+    return rows[_select_rows(values[rows], weight[rows], k)]
+
+
+def _candidate_rows(values: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """Ascending rows with ``values >= bound`` for :func:`top_k_rows`'s
+    pre-pass, or ``None`` when the selection should see every row."""
+    m = len(values)
+    if m <= _PREPASS_MIN_ROWS:
+        return None
+    sample = values[::max(m // _SAMPLE_ROWS, 1)]
+    expected = k * len(sample) / m
+    rank = int(expected + _SAMPLE_SIGMAS * math.sqrt(expected)
+               + _SAMPLE_SLACK)
+    if 4 * rank >= len(sample):
+        return None
+    sample = -sample
+    sample.partition(rank)
+    # A NaN bound clears no row, so the count below falls back.
+    keep = values >= -sample[rank]
+    count = int(np.count_nonzero(keep))
+    if count < k or 4 * count >= m:
+        return None
+    return np.flatnonzero(keep)
+
+
+def _select_rows(values: np.ndarray, weight: np.ndarray,
+                 k: int) -> np.ndarray:
+    """:func:`top_k_rows` on every row, for ``0 < k < len(values)``."""
     negated = -values
     negated.partition(k - 1)
     bound = -negated[k - 1]

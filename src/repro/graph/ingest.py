@@ -474,9 +474,7 @@ class _ReaderState:
             self.line_no += 1
         if not block:
             return
-        first_line = self.line_no + 1
-        self.line_no += block.count(b"\n")
-        self._parse_block(block, first_line)
+        self.line_no += self._parse_block(block, self.line_no + 1)
 
     def consume_quoted(self, tail: bytes) -> None:
         """csv-module pass over everything from the first quote on."""
@@ -485,35 +483,43 @@ class _ReaderState:
             skip_header=not self.saw_header))
         self.saw_header = True
 
-    def _parse_block(self, block: bytes, first_line: int) -> None:
-        """Escalate one block tier by tier."""
+    def _parse_block(self, block: bytes, first_line: int) -> int:
+        """Escalate one block tier by tier; return its line count.
+
+        The fast tier counts the newlines it splits the block on; a
+        block a later tier parses is counted with one byte scan.
+        """
         if ord(self.delimiter) > 127:
             # Non-ASCII delimiters span several bytes in UTF-8; the
             # byte-level tiers cannot see them.
             self.sink.append(*_parse_rows(block, self.delimiter,
                                           self.path, first_line))
-            return
+            return block.count(b"\n")
         if not self.force_tokens:
             data = np.frombuffer(block, dtype=np.uint8)
             fast = _parse_block_fast(data, ord(self.delimiter))
             if fast is not None:
-                self.sink.append(*fast)
-                return
+                n_lines, *columns = fast
+                self.sink.append(*columns)
+                return n_lines
         tokens = _parse_block_tokens(block, self.delimiter)
         if tokens is None:
             tokens = _parse_rows(block, self.delimiter, self.path,
                                  first_line)
         self.sink.append(*tokens)
+        return block.count(b"\n")
 
 
 def _parse_block_fast(data: np.ndarray, delim: int
-                      ) -> Optional[Tuple[np.ndarray, np.ndarray,
+                      ) -> Optional[Tuple[int, np.ndarray, np.ndarray,
                                           np.ndarray]]:
     """Tier 1: pure array-ops parse of ``int,int,number`` lines.
 
-    Returns ``None`` whenever the block doesn't match that shape
+    Returns ``(n_lines, src, dst, weight)``, ``n_lines`` counting blank
+    lines too, or ``None`` whenever the block doesn't match that shape
     (labels, signs, whitespace, missing fields, 16+-digit indices) —
-    the caller escalates to the token tier.
+    the caller escalates to the token tier. The block's byte lanes are
+    built once and shared by the endpoint and weight parsers.
     """
     newlines = np.flatnonzero(data == 10)
     seps = np.flatnonzero(data == delim)
@@ -527,23 +533,24 @@ def _parse_block_fast(data: np.ndarray, delim: int
     starts, ends, c1, c2, weight_end = bounds
     if len(starts) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
-    endpoints = _parse_int_runs(
-        data, np.concatenate([starts, c1 + 1]), np.concatenate([c1, c2]))
+        return n_lines, empty, empty, np.empty(0, dtype=np.float64)
+    lanes = _byte_lanes(data)
+    endpoints = _parse_int_runs(data, np.concatenate([starts, c1 + 1]),
+                                np.concatenate([c1, c2]), lanes)
     if endpoints is None:
         return None
     src, dst = np.split(endpoints, 2)
-    as_int = _parse_int_runs(data, c2 + 1, weight_end)
+    as_int = _parse_int_runs(data, c2 + 1, weight_end, lanes)
     if as_int is not None:
-        return src, dst, as_int.astype(np.float64)
-    weight, flagged = _parse_decimal_runs(data, c2 + 1, weight_end)
+        return n_lines, src, dst, as_int.astype(np.float64)
+    weight, flagged = _parse_decimal_runs(data, c2 + 1, weight_end, lanes)
     if flagged.any():
         rows = np.flatnonzero(flagged)
         rest = _parse_float_fields(data, c2[rows] + 1, weight_end[rows])
         if rest is None:
             return None
         weight[rows] = rest
-    return src, dst, weight
+    return n_lines, src, dst, weight
 
 
 def _field_bounds(starts: np.ndarray, newlines: np.ndarray,
@@ -665,11 +672,13 @@ def _digit_run_values(lanes: np.ndarray, starts: np.ndarray,
 
 
 def _parse_int_runs(data: np.ndarray, starts: np.ndarray,
-                    ends: np.ndarray) -> Optional[np.ndarray]:
+                    ends: np.ndarray,
+                    lanes: np.ndarray) -> Optional[np.ndarray]:
     """Parse ``[start, end)`` byte runs as base-10 integers.
 
-    Each run is read as one or two uint64 lanes — an 8-byte gather per
-    lane, then three SWAR rounds for the whole block at once (see
+    Each run is read as one or two uint64 lanes of ``lanes``
+    (``_byte_lanes(data)``) — an 8-byte gather per lane, then three
+    SWAR rounds for the whole block at once (see
     :func:`_digit_run_values`). ``None`` when any run is empty, longer
     than 15 digits, contains a non-digit byte, or is a *non-canonical*
     spelling (leading zeros, e.g. ``007``) — the last so that an
@@ -681,7 +690,7 @@ def _parse_int_runs(data: np.ndarray, starts: np.ndarray,
         return np.empty(0, dtype=np.int64)
     if widths.min() < 1 or widths.max() > 15:
         return None
-    values, flagged = _digit_run_values(_byte_lanes(data), starts, ends)
+    values, flagged = _digit_run_values(lanes, starts, ends)
     if flagged.any() or ((data[starts] == 48) & (widths > 1)).any():
         return None
     return values.view(np.int64)
@@ -795,7 +804,8 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _parse_decimal_runs(data: np.ndarray, starts: np.ndarray,
-                        ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                        ends: np.ndarray, lanes: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Parse ``[start, end)`` byte runs as doubles, exactly, per row.
 
     Reads an optional sign, up to 19 significant digits around an
@@ -805,12 +815,15 @@ def _parse_decimal_runs(data: np.ndarray, starts: np.ndarray,
     every row not flagged equals ``float()`` of its text bit for bit;
     flagged rows (anything else: ``nan``, ``inf``, whitespace, 20+
     digits, ``q`` outside ``[-342, 308]``) hold no meaningful value.
+    ``lanes`` is ``_byte_lanes(data)``, shared with the endpoint
+    parser.
 
     >>> text = b"0.1\\n-0.0\\n9007199254740993\\n1.5e-3\\nnan\\n"
     >>> data = np.frombuffer(text, dtype=np.uint8)
     >>> ends = np.flatnonzero(data == 10)
     >>> starts = np.concatenate([[0], ends[:-1] + 1])
-    >>> values, flagged = _parse_decimal_runs(data, starts, ends)
+    >>> values, flagged = _parse_decimal_runs(data, starts, ends,
+    ...                                       _byte_lanes(data))
     >>> flagged.tolist()
     [False, False, False, False, True]
     >>> values[:4].tolist()
@@ -823,7 +836,6 @@ def _parse_decimal_runs(data: np.ndarray, starts: np.ndarray,
     negative = first == 45
     body = starts + (negative | (first == 43))
     flagged = ends <= starts
-    lanes = _byte_lanes(data)
     # The exponent: at most one e/E per field, then 1-3 digits.
     mantissa_end = ends
     exponent = 0

@@ -1,9 +1,13 @@
 """Unit tests for :mod:`repro.graph.edge_table`."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from test_property_invariants import lexsort_top_k
 
-from repro.graph import EdgeTable
+from repro.graph import EdgeTable, edge_table
+from repro.graph.edge_table import top_k_rows
 from repro.graph.sp_engine import _have_scipy
 
 
@@ -240,6 +244,83 @@ class TestTransformations:
         clone = table.copy()
         clone.weight[0] = 99.0
         assert table.weight[0] != 99.0
+
+
+class TestTopKRowsPrepass:
+    """:func:`top_k_rows` at its real sampling constants, on columns
+    long enough for the candidate pre-pass: every cut equals one
+    lexsort of all rows, and the pre-pass narrows the rows or falls
+    back exactly where its gates say."""
+
+    ROWS = 1 << 18
+    #: The stride of the pre-pass sample on ``ROWS`` rows.
+    STRIDE = ROWS // edge_table._SAMPLE_ROWS
+    KS = (1, 4239, ROWS // 8, ROWS // 4, ROWS // 4 + 1, ROWS - 1)
+
+    def values(self, case, rng):
+        phase = (np.arange(self.ROWS) % self.STRIDE).astype(np.float64)
+        if case == "random":
+            return rng.standard_normal(self.ROWS)
+        if case == "ties":
+            return rng.integers(0, 50, self.ROWS) / 4.0
+        if case == "nan_signed_zero_inf":
+            values = rng.standard_normal(self.ROWS)
+            special = rng.random(self.ROWS)
+            values[special < 0.01] = np.nan
+            values[(special >= 0.01) & (special < 0.02)] = 0.0
+            values[(special >= 0.02) & (special < 0.03)] = -0.0
+            values[(special >= 0.03) & (special < 0.031)] = np.inf
+            values[(special >= 0.031) & (special < 0.032)] = -np.inf
+            return values
+        if case == "all_equal":
+            return np.full(self.ROWS, 0.25)
+        if case == "sample_sees_best":
+            return -phase  # sampled rows hold the best value, 0.0
+        assert case == "sample_sees_worst"
+        return phase  # sampled rows hold the worst value, 0.0
+
+    #: The cuts the pre-pass narrows; every other cut falls back. The
+    #: rank gate skips the sample from ``k = ROWS // 4`` up; all-equal
+    #: and worst-sampled columns leave every row a candidate; the best
+    #: rows of ``sample_sees_best`` are the sampled ones, too few for
+    #: ``ROWS // 8``.
+    NARROWED = {"random": {1, 4239, ROWS // 8},
+                "ties": {1, 4239, ROWS // 8},
+                "nan_signed_zero_inf": {1, 4239, ROWS // 8},
+                "all_equal": set(),
+                "sample_sees_best": {1, 4239},
+                "sample_sees_worst": set()}
+
+    @pytest.mark.parametrize("case", sorted(NARROWED))
+    def test_matches_lexsort(self, case):
+        rng = np.random.default_rng(24)
+        values = self.values(case, rng)
+        weight = rng.integers(1, 4, self.ROWS) / 2.0
+        narrowed = {}
+        candidate_rows = edge_table._candidate_rows
+
+        def spy(values, k):
+            rows = candidate_rows(values, k)
+            narrowed[k] = rows is not None
+            return rows
+
+        with mock.patch.object(edge_table, "_candidate_rows", spy):
+            for k in self.KS:
+                got = top_k_rows(values, weight, k)
+                assert got.tolist() == lexsort_top_k(values, weight,
+                                                     k).tolist(), k
+        assert {k for k, hit in narrowed.items() if hit} \
+            == self.NARROWED[case]
+
+    def test_random_columns_do_not_fall_back(self):
+        """The sample-rank margin keeps the bound at or below the
+        ``k``-th best value of a random column, so the pre-pass
+        narrows every cut instead of falling back on about half."""
+        for seed in range(8):
+            values = np.random.default_rng(seed).random(self.ROWS)
+            for k in (10, 100, 1000, 4239, 10_000, self.ROWS // 8):
+                assert edge_table._candidate_rows(values, k) is not None, \
+                    (seed, k)
 
 
 class TestExports:

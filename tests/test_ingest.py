@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.graph import ingest
 from repro.graph.edge_table import EdgeTable, coalesce_edges
-from repro.graph.ingest import (EdgeTableBuilder, _parse_decimal_runs,
-                                detect_format,
+from repro.graph.ingest import (EdgeTableBuilder, _byte_lanes,
+                                _parse_decimal_runs, detect_format,
                                 read_edge_csv_rows, read_edge_npz,
                                 read_edges, write_edge_npz, write_edges)
 from repro.pipeline import (ScoreStore, fingerprint_file,
@@ -369,7 +369,7 @@ def parse_decimals(texts):
                          dtype=np.uint8)
     ends = np.flatnonzero(data == 10)
     starts = np.concatenate([[0], ends[:-1] + 1])
-    return _parse_decimal_runs(data, starts, ends)
+    return _parse_decimal_runs(data, starts, ends, _byte_lanes(data))
 
 
 def float_bits(texts):

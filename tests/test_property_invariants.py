@@ -5,6 +5,9 @@ check the invariants every component must preserve regardless of input:
 score bounds, budget exactness, subset relations, conservation laws.
 """
 
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +22,7 @@ from repro.core import (NoiseCorrectedBackbone, NoiseCorrectedPValue,
 from repro.evaluation import coverage
 from repro.graph import (EdgeTable, connected_components,
                          jaccard_edge_similarity)
+from repro.graph import edge_table
 from repro.graph.edge_table import top_k_rows
 
 
@@ -175,49 +179,107 @@ def chain_table(weight):
                      coalesce=False)
 
 
+#: Sampling constants low enough that :func:`top_k_rows`'s candidate
+#: pre-pass runs on 4-24 rows. With no margin the sampled bound often
+#: lands above the ``k``-th value, so the count fallback runs too.
+SMALL_PREPASS = {"_PREPASS_MIN_ROWS": 3, "_SAMPLE_ROWS": 4,
+                 "_SAMPLE_SIGMAS": 0.0, "_SAMPLE_SLACK": 0}
+
+
+@contextmanager
+def small_prepass(outcomes):
+    """Lower the pre-pass constants and append to ``outcomes``, per
+    call, whether the pre-pass narrowed the rows (``True``) or left
+    the selection to every row (``False``)."""
+    candidate_rows = edge_table._candidate_rows
+
+    def spy(values, k):
+        rows = candidate_rows(values, k)
+        outcomes.append(rows is not None)
+        return rows
+
+    with ExitStack() as stack:
+        for name, value in SMALL_PREPASS.items():
+            stack.enter_context(mock.patch.object(edge_table, name, value))
+        stack.enter_context(
+            mock.patch.object(edge_table, "_candidate_rows", spy))
+        yield
+
+
+def assert_narrowed_and_fell_back(outcomes):
+    assert any(outcomes), "the pre-pass never narrowed the rows"
+    assert not all(outcomes), "the pre-pass never fell back"
+
+
 class TestTotalOrder:
     """Every budgeted extraction keeps the ``(-value, -weight, row)``
-    top ``k``: the exact rows one full lexsort would keep."""
+    top ``k``: the exact rows one full lexsort would keep.
 
-    @given(tied_rows(finite=False))
-    @settings(max_examples=200, deadline=None)
-    def test_top_k_rows_matches_lexsort(self, rows):
-        values, weight = rows
-        for k in range(len(values) + 1):
-            got = top_k_rows(values, weight, k)
-            assert got.tolist() == lexsort_top_k(values, weight,
-                                                 k).tolist()
+    The first three tests run with :data:`SMALL_PREPASS`, so the
+    candidate pre-pass (and its fallback) sees these tiny inputs."""
 
-    @given(tied_rows())
-    @settings(max_examples=200, deadline=None)
-    def test_top_k_by_matches_lexsort(self, rows):
-        values, weight = rows
-        table = chain_table(weight)
-        for k in range(table.m + 1):
-            kept = table.top_k_by(values, k)
-            want = lexsort_top_k(values, weight, k)
-            assert kept.src.tolist() == want.tolist()
-            assert kept.weight.tobytes() == weight[want].tobytes()
+    def test_top_k_rows_matches_lexsort(self):
+        outcomes = []
 
-    @given(tied_rows(), st.lists(st.sampled_from([0.0, 0.5]),
-                                 min_size=24, max_size=24))
-    @settings(max_examples=200, deadline=None)
-    def test_nc_budgets_match_lexsort(self, rows, sdevs):
-        values, weight = rows
-        m = len(values)
-        sdev = np.array(sdevs[:m])
-        scored = ScoredEdges(table=chain_table(weight), score=values,
-                             method="NC", sdev=sdev)
-        method = NoiseCorrectedBackbone(delta=1.64)
-        ranked = values - 1.64 * sdev
-        for k in range(m + 1):
-            want = lexsort_top_k(ranked, weight, k).tolist()
-            by_count = method.extract_from_scores(scored, n_edges=k)
-            assert by_count.src.tolist() == want
-            share = k / m
-            by_share = method.extract_from_scores(scored, share=share)
-            assert by_share.src.tolist() == lexsort_top_k(
-                ranked, weight, int(round(share * m))).tolist()
+        @given(tied_rows(finite=False))
+        @settings(max_examples=200, deadline=None)
+        def check(rows):
+            values, weight = rows
+            with small_prepass(outcomes):
+                for k in range(len(values) + 1):
+                    got = top_k_rows(values, weight, k)
+                    assert got.tolist() == lexsort_top_k(values, weight,
+                                                         k).tolist()
+
+        check()
+        assert_narrowed_and_fell_back(outcomes)
+
+    def test_top_k_by_matches_lexsort(self):
+        outcomes = []
+
+        @given(tied_rows())
+        @settings(max_examples=200, deadline=None)
+        def check(rows):
+            values, weight = rows
+            table = chain_table(weight)
+            with small_prepass(outcomes):
+                for k in range(table.m + 1):
+                    kept = table.top_k_by(values, k)
+                    want = lexsort_top_k(values, weight, k)
+                    assert kept.src.tolist() == want.tolist()
+                    assert kept.weight.tobytes() == weight[want].tobytes()
+
+        check()
+        assert_narrowed_and_fell_back(outcomes)
+
+    def test_nc_budgets_match_lexsort(self):
+        outcomes = []
+
+        @given(tied_rows(), st.lists(st.sampled_from([0.0, 0.5]),
+                                     min_size=24, max_size=24))
+        @settings(max_examples=200, deadline=None)
+        def check(rows, sdevs):
+            values, weight = rows
+            m = len(values)
+            sdev = np.array(sdevs[:m])
+            scored = ScoredEdges(table=chain_table(weight), score=values,
+                                 method="NC", sdev=sdev)
+            method = NoiseCorrectedBackbone(delta=1.64)
+            ranked = values - 1.64 * sdev
+            with small_prepass(outcomes):
+                for k in range(m + 1):
+                    want = lexsort_top_k(ranked, weight, k).tolist()
+                    by_count = method.extract_from_scores(scored,
+                                                          n_edges=k)
+                    assert by_count.src.tolist() == want
+                    share = k / m
+                    by_share = method.extract_from_scores(scored,
+                                                          share=share)
+                    assert by_share.src.tolist() == lexsort_top_k(
+                        ranked, weight, int(round(share * m))).tolist()
+
+        check()
+        assert_narrowed_and_fell_back(outcomes)
 
     @given(tied_rows())
     @settings(max_examples=200, deadline=None)
