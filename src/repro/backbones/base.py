@@ -11,6 +11,12 @@ baselines — follows the same two-phase shape:
 Separating the phases is what allows the paper's edge-budget-matched
 comparisons (Sections V-D/E/F): every method is asked for the same number
 of edges and only the *ranking* differs.
+
+The filter phase is one :class:`Cut`, resolved by
+:meth:`BackboneMethod.cut`: the budget is validated and defaulted there,
+and every filter phase — :meth:`BackboneMethod.extract_from_scores`,
+streamed extraction and a plan's ``--explain`` — applies or prints the
+cut it returns.
 """
 
 from __future__ import annotations
@@ -74,36 +80,43 @@ class ScoredEdges:
         return self.table.top_k_by(self.score, min(int(k), self.m))
 
     def share_to_k(self, share: float) -> int:
-        """Edge budget equivalent to ``share`` of these edges.
-
-        Every share-based filter (:meth:`top_share`,
-        :meth:`threshold_for_share`) derives its ``k`` here, through the
-        module-level :func:`share_to_k` that streamed extraction uses
-        too.
-        """
+        """Edge budget equivalent to ``share`` of these edges, by the
+        module-level :func:`share_to_k` every share cut uses."""
         return share_to_k(share, self.m)
 
     def top_share(self, share: float) -> EdgeTable:
         """Keep the top ``share`` fraction of edges by score."""
         return self.top_k(self.share_to_k(share))
 
-    def threshold_for_share(self, share: float) -> float:
-        """Score threshold approximating the ``share_to_k`` edge budget.
 
-        Derives ``k`` exactly like :meth:`top_share` (they used to
-        disagree at tiny shares: ``int(round(...))`` vs
-        ``max(1, ...)``) and returns the ``k``-th highest score, so
-        the strict ``score > threshold`` cut keeps at most ``k`` edges
-        (``k - 1`` when scores are distinct — the filter has always
-        been strict). When the share rounds to ``k = 0``, the maximum
-        score is returned and the cut keeps nothing, mirroring the
-        empty ``top_share`` backbone.
-        """
-        require(self.m > 0,
-                "threshold_for_share needs at least one scored edge")
-        k = self.share_to_k(share)
-        ordered = np.sort(self.score)[::-1]
-        return float(ordered[max(k, 1) - 1])
+@dataclass(frozen=True)
+class Cut:
+    """A resolved filter phase: what to rank by and where to cut.
+
+    ``kind`` is ``"threshold"`` (keep rows whose value strictly exceeds
+    ``value``), ``"share"`` or ``"n_edges"`` (keep the top :meth:`k`
+    rows under the total order of
+    :func:`~repro.graph.edge_table.top_k_rows`), or ``"natural"`` (a
+    parameter-free method's own extraction; ``value`` is unused).
+    ``by_method`` ranks by :meth:`BackboneMethod.rank_values` instead
+    of the raw score. Built by :meth:`BackboneMethod.cut`.
+    """
+
+    kind: str
+    value: float = 0.0
+    by_method: bool = True
+
+    def k(self, m: int) -> int:
+        """Rows a share or ``n_edges`` cut keeps out of ``m``."""
+        if self.kind == "share":
+            return share_to_k(self.value, m)
+        return min(int(self.value), m)
+
+    def describe(self) -> Dict[str, object]:
+        """The cut as a small JSON-able mapping (``--explain``)."""
+        if self.kind == "natural":
+            return {"kind": "natural"}
+        return {"kind": self.kind, self.kind: self.value}
 
 
 class BackboneMethod(ABC):
@@ -133,8 +146,7 @@ class BackboneMethod(ABC):
 
         Exactly one of ``threshold``, ``share`` or ``n_edges`` must be
         given; parameter-free methods accept none of them, and methods
-        with a :meth:`default_budget` fall back to it. Validation lives
-        in :meth:`extract_from_scores` (the seam every override shares).
+        with a :meth:`default_budget` fall back to it (see :meth:`cut`).
         """
         return self.extract_from_scores(self.score(table),
                                         threshold=threshold, share=share,
@@ -143,28 +155,69 @@ class BackboneMethod(ABC):
     def extract_from_scores(self, scored: ScoredEdges,
                             threshold: Optional[float] = None,
                             share: Optional[float] = None,
-                            n_edges: Optional[int] = None) -> EdgeTable:
+                            n_edges: Optional[int] = None,
+                            rank: str = "method") -> EdgeTable:
         """The filter phase of :meth:`extract`, on existing scores.
 
-        This is the seam the pipeline cache relies on: given a cached
-        ``ScoredEdges``, it must reproduce ``extract`` exactly. Every
-        budget cuts by :meth:`rank_values`, so a method whose ranking
-        is not its raw score (NC's δ rule) overrides that alone;
-        methods whose extraction is more than a cut (the spanning
-        logic of MST/DS) override this method rather than ``extract``.
+        This is the seam the pipeline cache and every plan rely on:
+        given a cached ``ScoredEdges``, it must reproduce ``extract``
+        exactly. It applies the :class:`Cut` that :meth:`cut` resolves
+        from the budget and ``rank``, so a method whose ranking is not
+        its raw score (NC's δ rule) overrides :meth:`rank_values`
+        alone; methods whose extraction is more than a cut (the
+        spanning logic of MST/DS) override this method and still
+        validate through :meth:`cut`.
         """
-        threshold, share, n_edges = self._resolve_budget(threshold, share,
-                                                         n_edges)
-        if self.parameter_free:
+        cut = self.cut(threshold, share, n_edges, rank=rank)
+        if cut.kind == "natural":
             return scored.filter(0.0)
-        ranked = ScoredEdges(table=scored.table,
-                             score=self.rank_values(scored),
-                             method=self.name)
-        if threshold is not None:
-            return ranked.filter(threshold)
-        if share is not None:
-            return ranked.top_share(share)
-        return ranked.top_k(n_edges)
+        if cut.by_method:
+            scored = ScoredEdges(table=scored.table,
+                                 score=self.rank_values(scored),
+                                 method=self.name)
+        if cut.kind == "threshold":
+            return scored.filter(cut.value)
+        return scored.top_k(cut.k(scored.m))
+
+    def cut(self, threshold: Optional[float] = None,
+            share: Optional[float] = None,
+            n_edges: Optional[int] = None, rank: str = "method") -> Cut:
+        """Resolve a budget into the :class:`Cut` the filter phase makes.
+
+        The one budget rule. Exactly one of ``threshold``, ``share`` or
+        ``n_edges`` may be given, none to a parameter-free method (its
+        cut is ``"natural"``); with none, :meth:`default_budget`
+        applies. ``rank="method"`` ranks by :meth:`rank_values`,
+        ``rank="score"`` by the raw score, as share sweeps do; a
+        default budget always ranks by the method, whatever ``rank``
+        says.
+
+        >>> from repro.backbones.registry import get_method
+        >>> get_method("NC").cut().describe()
+        {'kind': 'threshold', 'threshold': 0.0}
+        >>> get_method("NT").cut(share=0.25, rank="score").by_method
+        False
+        """
+        require(rank in ("method", "score"),
+                f"rank must be 'method' or 'score', got {rank!r}")
+        chosen = [(name, value) for name, value in
+                  (("threshold", threshold), ("share", share),
+                   ("n_edges", n_edges)) if value is not None]
+        if self.parameter_free:
+            require(not chosen,
+                    f"{self.name} is parameter-free and accepts no budget")
+            return Cut("natural")
+        by_method = rank == "method"
+        if not chosen:
+            default = self.default_budget()
+            if default is not None:
+                chosen, by_method = list(default.items()), True
+        require(len(chosen) == 1,
+                f"give exactly one of threshold/share/n_edges, "
+                f"got {[name for name, _ in chosen]}")
+        [(kind, value)] = chosen
+        value = int(value) if kind == "n_edges" else float(value)
+        return Cut(kind, value, by_method)
 
     def rank_values(self, scored: ScoredEdges) -> np.ndarray:
         """Per-edge values this method's own budgets rank and cut by.
@@ -196,28 +249,6 @@ class BackboneMethod(ABC):
                        if not key.startswith("_")},
         }
 
-    def filter_spec(self, threshold: Optional[float] = None,
-                    share: Optional[float] = None,
-                    n_edges: Optional[int] = None) -> Dict[str, object]:
-        """Declarative description of the filter phase of :meth:`extract`.
-
-        Resolves the budget exactly like :meth:`extract` (defaults
-        applied, mutual exclusion enforced) but returns a small
-        JSON-able mapping instead of touching any data — the form
-        :mod:`repro.flow` plans carry and ``repro backbone --explain``
-        prints. ``{"kind": "natural"}`` marks parameter-free methods
-        whose extraction ignores budgets entirely.
-        """
-        threshold, share, n_edges = self._resolve_budget(threshold, share,
-                                                         n_edges)
-        if self.parameter_free:
-            return {"kind": "natural"}
-        if threshold is not None:
-            return {"kind": "threshold", "threshold": float(threshold)}
-        if share is not None:
-            return {"kind": "share", "share": float(share)}
-        return {"kind": "n_edges", "n_edges": int(n_edges)}
-
     def default_budget(self) -> Optional[Dict[str, float]]:
         """Budget used when :meth:`extract` is called with none.
 
@@ -228,26 +259,6 @@ class BackboneMethod(ABC):
         run without budget flags.
         """
         return None
-
-    def _resolve_budget(self, threshold: Optional[float],
-                        share: Optional[float],
-                        n_edges: Optional[int]):
-        """Validate the budget arguments, applying the default if any."""
-        chosen = [name for name, value in
-                  (("threshold", threshold), ("share", share),
-                   ("n_edges", n_edges)) if value is not None]
-        if self.parameter_free:
-            require(not chosen,
-                    f"{self.name} is parameter-free and accepts no budget")
-            return None, None, None
-        if not chosen:
-            default = self.default_budget()
-            if default is not None:
-                return (default.get("threshold"), default.get("share"),
-                        default.get("n_edges"))
-        require(len(chosen) == 1,
-                f"give exactly one of threshold/share/n_edges, got {chosen}")
-        return threshold, share, n_edges
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -267,10 +278,10 @@ def prepare_table(table: EdgeTable) -> EdgeTable:
 def share_to_k(share: float, m: int) -> int:
     """Edge budget equivalent to ``share`` of ``m`` rows.
 
-    The single share rounding rule: in-memory filters
-    (:meth:`ScoredEdges.share_to_k`) and streamed extraction both call
-    it, so a share maps to the same edge count everywhere. At tiny
-    shares ``round`` may yield ``k = 0``, an empty backbone.
+    The single share rounding rule: :meth:`Cut.k` calls it for every
+    share cut, in memory and streamed, so a share maps to the same edge
+    count everywhere. At tiny shares ``round`` may yield ``k = 0``, an
+    empty backbone.
     """
     require(0.0 <= share <= 1.0, f"share must be in [0, 1], got {share}")
     return min(int(round(share * m)), m)

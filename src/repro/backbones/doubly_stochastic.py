@@ -120,10 +120,11 @@ class DoublyStochastic(BackboneMethod):
         return ScoredEdges(table=table, score=balanced, method=self.name)
 
     def extract_from_scores(self, scored: ScoredEdges, threshold=None,
-                            share=None, n_edges=None) -> EdgeTable:
+                            share=None, n_edges=None,
+                            rank="method") -> EdgeTable:
         """Add edges by descending balanced weight until one component
         spans all non-isolated nodes of the input."""
-        self._resolve_budget(threshold, share, n_edges)
+        self.cut(threshold, share, n_edges, rank=rank)
         working = scored.table
         order = np.lexsort((working.dst, working.src, -scored.score))
         ds = UnionFind(working.n_nodes)

@@ -43,7 +43,8 @@ class MaximumSpanningTree(BackboneMethod):
                            method=self.name)
 
     def extract_from_scores(self, scored: ScoredEdges, threshold=None,
-                            share=None, n_edges=None) -> EdgeTable:
+                            share=None, n_edges=None,
+                            rank="method") -> EdgeTable:
         """Return the tree edges (budget arguments are rejected)."""
-        self._resolve_budget(threshold, share, n_edges)
+        self.cut(threshold, share, n_edges, rank=rank)
         return scored.table.subset(scored.score > 0.5)

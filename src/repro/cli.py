@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -463,14 +462,9 @@ def _convert_edges(args: argparse.Namespace):
     """
     mode = _STREAMING_MODES[getattr(args, "streaming", "auto")]
     if mode is not False and detect_format(args.output) == "npz":
-        from .stream import auto_threshold_bytes, stream_convert
+        from .stream import auto_streams, stream_convert
 
-        try:
-            size = os.stat(args.input).st_size
-        except OSError:
-            size = None
-        if mode is True or (size is not None
-                            and size >= auto_threshold_bytes()):
+        if mode is True or auto_streams(args.input):
             return stream_convert(args.input, args.output,
                                   directed=args.directed)
     elif mode is True:

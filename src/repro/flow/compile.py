@@ -43,8 +43,8 @@ from ..obs.trace import span
 from ..pipeline.fingerprint import (fingerprint_score_request,
                                     fingerprint_table)
 from ..pipeline.store import ScoreStore
-from ..stream import (StreamingUnsupported, auto_threshold_bytes,
-                      open_stream, supports_streaming)
+from ..stream import (StreamingUnsupported, auto_streams, open_stream,
+                      supports_streaming)
 from ..util.validation import require
 from .plan import Plan
 from .spec import FilterSpec, TableSource
@@ -94,6 +94,8 @@ class CompiledPlan:
     handle: Optional[SourceHandle] = None
     method: Optional[BackboneMethod] = None
     key: str = ""  # score-cache key (table x score-relevant config)
+    #: The plan's filter; ``FilterSpec()`` (the method's default
+    #: budget) when the plan set none.
     budget: Optional[FilterSpec] = None
     metrics: Tuple = ()
     #: The out-of-core handle when the plan compiled to the streaming
@@ -161,7 +163,8 @@ def _compile_one(plan, store, memo, allow_streaming) -> CompiledPlan:
     metrics = tuple(spec.build(handle.summary)
                     for spec in plan.metric_specs)
     return CompiledPlan(plan=plan, handle=handle, method=method, key=key,
-                        budget=plan.budget_spec, metrics=metrics,
+                        budget=plan.budget_spec or FilterSpec(),
+                        metrics=metrics,
                         stream=stream)
 
 
@@ -187,9 +190,10 @@ def _wants_stream(plan, method, allow_streaming) -> bool:
 
     ``streaming=True`` demands it (and raises
     :class:`StreamingUnsupported` for whole-graph methods);
-    ``"auto"`` streams supported methods when the source file reaches
-    :func:`auto_threshold_bytes`, silently staying in memory
-    otherwise.
+    ``"auto"`` streams supported methods when
+    :func:`~repro.stream.auto_streams` says the source's file is large
+    enough — the rule ``repro convert`` applies too — silently staying
+    in memory otherwise (also when the source has no local file).
     """
     streaming = getattr(plan, "streaming", "auto")
     if streaming is False or not allow_streaming:
@@ -205,16 +209,10 @@ def _wants_stream(plan, method, allow_streaming) -> bool:
         return True
     if not supports_streaming(method):
         return False
-    size = _source_size(plan.source)
-    return size is not None and size >= auto_threshold_bytes()
-
-
-def _source_size(source) -> Optional[int]:
-    """Source bytes for the ``"auto"`` decision; ``None`` = unknown."""
     try:
-        return _stream_path(source).stat().st_size
+        return auto_streams(_stream_path(plan.source))
     except (OSError, ValueError):
-        return None
+        return False
 
 
 def _stream_path(source) -> Path:

@@ -56,10 +56,10 @@ def flow(source, directed: bool = True, delimiter: str = ",",
     out-of-core two-pass pipeline (:mod:`repro.stream`; compile raises
     :class:`~repro.stream.StreamingUnsupported` for methods that need
     the full graph), and ``"auto"`` (the default) streams supported
-    methods when the source file is at least
-    :func:`repro.stream.auto_threshold_bytes` large. Results and cache
-    keys are identical either way — streaming is an execution knob,
-    not part of the request identity.
+    methods when :func:`repro.stream.auto_streams` finds the source
+    file large enough (``REPRO_STREAM_THRESHOLD_BYTES``). Results and
+    cache keys are identical either way — streaming is an execution
+    knob, not part of the request identity.
 
     >>> from repro.flow import flow
     >>> plan = flow("edges.csv", directed=False).method("nc", delta=1.0)
@@ -235,7 +235,10 @@ class Plan:
         Never scores. Compiles in memory (``allow_streaming=False``),
         so it parses the source only when ``store`` holds no binding
         (with a table summary) for it — a warm store answers from the
-        file hash alone. This is what ``--explain`` prints.
+        file hash alone. ``"filter"`` is the method's
+        :meth:`~repro.backbones.base.BackboneMethod.cut` of the plan's
+        budget, with the rank that cut uses (a default budget ranks by
+        the method). This is what ``--explain`` prints.
         """
         from .compile import compile_plans
         from ..pipeline.store import ScoreStore
@@ -246,7 +249,7 @@ class Plan:
         if compiled.error is not None:
             raise compiled.error
         method = compiled.method
-        budget = self.budget_spec or FilterSpec()
+        cut = method.cut(**compiled.budget.filter_kwargs())
         payload: Dict[str, object] = {
             "plan": self.fingerprint(),
             "source": {
@@ -254,8 +257,8 @@ class Plan:
                 "fingerprint": compiled.handle.source_fp,
             },
             "method": method.describe(),
-            "filter": dict(method.filter_spec(**budget.budget_kwargs()),
-                           rank=budget.rank),
+            "filter": dict(cut.describe(),
+                           rank="method" if cut.by_method else "score"),
             "metrics": [spec.key for spec in self.metric_specs],
             "cache": {
                 "table": compiled.handle.table_fp,

@@ -15,8 +15,12 @@ plans — many users, many deltas, many budgets, same sources — and it
    source whose binding is warm is parsed only here, once, and only
    when one of its keys misses the store;
 3. applies each plan's filter and metrics serially — cheap compared
-   to scoring. The kept share and ``"coverage"`` read the source's
-   summary, never the parsed table.
+   to scoring. The filter is the method's own ``extract_from_scores``,
+   called with the plan's ``FilterSpec.filter_kwargs()``; in memory
+   and streamed (:func:`repro.stream.stream_extract`),
+   :meth:`~repro.backbones.base.BackboneMethod.cut` turns them into
+   the one cut both paths make. The kept share and ``"coverage"`` read
+   the source's summary, never the parsed table.
 
 Per-plan failures are *isolated*: any scoring, filtering or metric
 exception — the deterministic Sinkhorn non-convergence (recorded as a
@@ -144,8 +148,9 @@ def serve_compiled(compiled: Sequence[CompiledPlan],
             with span("plan.extract", key=item.key[:16]):
                 backbone = stream_backbones.get(index)
                 if backbone is None:
-                    backbone = _apply_filter(item,
-                                             scored_by_key[item.key])
+                    backbone = item.method.extract_from_scores(
+                        scored_by_key[item.key],
+                        **item.budget.filter_kwargs())
                 kept = backbone.m / max(item.handle.summary.nonloop_m, 1)
                 values = tuple(metric(backbone)
                                for metric in item.metrics)
@@ -293,41 +298,10 @@ def _serve_streams(compiled: Sequence[CompiledPlan], scored_by_key,
     backbones: Dict[int, EdgeTable] = {}
     errors: Dict[int, Exception] = {}
     for stream, members in by_stream.values():
-        jobs = [(index, item.key, item.method, item.budget)
+        jobs = [(index, item.key, item.method,
+                 item.budget.filter_kwargs())
                 for index, item in members]
         got, bad = stream_extract(stream, jobs)
         backbones.update(got)
         errors.update(bad)
     return backbones, errors
-
-
-# ----------------------------------------------------------------------
-# Filtering
-# ----------------------------------------------------------------------
-
-def _apply_filter(item: CompiledPlan, scored) -> EdgeTable:
-    """One plan's filter phase on (possibly cached) scores.
-
-    ``rank="method"`` (and no budget at all) routes through the
-    method's own ``extract_from_scores`` — the exact code path
-    ``method.extract`` runs, which is what makes plan-vs-legacy
-    bit-identity hold by construction. ``rank="score"`` applies the
-    raw-score filters share sweeps use.
-    """
-    budget = item.budget
-    if budget is None or budget.rank == "method":
-        kwargs = {} if budget is None else budget.budget_kwargs()
-        return item.method.extract_from_scores(scored, **kwargs)
-    if item.method.parameter_free:
-        # Passing the budget through makes an explicit budget on a
-        # parameter-free method raise exactly as rank="method" does,
-        # instead of being silently ignored.
-        return item.method.extract_from_scores(scored,
-                                               **budget.budget_kwargs())
-    if budget.threshold is not None:
-        return scored.filter(budget.threshold)
-    if budget.share is not None:
-        return scored.top_share(budget.share)
-    if budget.n_edges is not None:
-        return scored.top_k(budget.n_edges)
-    return item.method.extract_from_scores(scored)

@@ -22,12 +22,11 @@ each a small frozen object that *describes* work without doing any:
   :class:`~repro.backbones.base.BackboneMethod` for callers that hold
   one; it stays picklable but cannot be serialized to JSON.
 * :class:`FilterSpec` — at most one of ``threshold`` / ``share`` /
-  ``n_edges`` plus a ``rank`` mode. ``rank="method"`` (the default)
-  filters through the method's own
-  :meth:`~repro.backbones.base.BackboneMethod.extract_from_scores`,
-  reproducing ``method.extract`` bit for bit; ``rank="score"`` ranks
-  raw scores the way share sweeps do, reproducing
-  ``method.score(table).top_share(share)``.
+  ``n_edges`` plus a ``rank`` mode, handed whole to the method's
+  :meth:`~repro.backbones.base.BackboneMethod.extract_from_scores`.
+  ``rank="method"`` (the default) reproduces ``method.extract`` bit
+  for bit; ``rank="score"`` ranks raw scores the way share sweeps do,
+  reproducing ``method.score(table).top_share(share)``.
 * metric specs — :class:`MetricSpec` names one of the registered
   metrics (resolved against the source's table summary when the plan
   compiles, so ``"coverage"`` measures retention against the *input*);
@@ -41,6 +40,7 @@ is what makes plans shippable artifacts (``repro flow run plan.json``).
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -281,12 +281,18 @@ BUDGET_KEYS = ("threshold", "share", "n_edges")
 class FilterSpec:
     """One budget (or none, meaning the method's default) plus ranking.
 
-    ``rank="method"`` routes extraction through the method's own
-    ``extract_from_scores`` — the exact code path ``method.extract``
-    runs, so plan results are bit-identical to the legacy call by
-    construction. ``rank="score"`` ranks the raw scores the way share
-    sweeps always have (NC unadjusted, ties broken by weight then row),
-    which is what sweep-compiled plan batches use.
+    A plan's filter phase, in memory and streamed, is the method's own
+    ``extract_from_scores`` called with :meth:`filter_kwargs` — the
+    code path ``method.extract`` runs, so plan results are
+    bit-identical to the legacy call by construction. ``rank="score"``
+    ranks an explicit budget by the raw scores the way share sweeps
+    always have (NC unadjusted, ties broken by weight then row), which
+    is what sweep-compiled plan batches use; a default budget ranks by
+    the method either way.
+
+    Budgets arrive from plan JSON and daemon clients, so they are
+    typed here: ``threshold`` and ``share`` real numbers (``share`` in
+    [0, 1]), ``n_edges`` a non-negative integer, and never ``bool``.
     """
 
     threshold: Optional[float] = None
@@ -302,14 +308,30 @@ class FilterSpec:
                 f"got {given}")
         require(self.rank in ("method", "score"),
                 f"rank must be 'method' or 'score', got {self.rank!r}")
+        for name, kind, noun in (
+                ("threshold", numbers.Real, "a real number"),
+                ("share", numbers.Real, "a real number"),
+                ("n_edges", numbers.Integral, "a non-negative integer")):
+            value = getattr(self, name)
+            require(value is None or (isinstance(value, kind)
+                                      and not isinstance(value, bool)),
+                    f"{name} must be {noun}, got {value!r}")
         if self.share is not None:
             require(0.0 <= self.share <= 1.0,
                     f"share must be in [0, 1], got {self.share}")
+        if self.n_edges is not None:
+            require(self.n_edges >= 0, f"n_edges must be a non-negative "
+                                       f"integer, got {self.n_edges}")
 
     def budget_kwargs(self) -> Dict[str, object]:
         """The non-``None`` budget as ``extract`` keyword arguments."""
         return {name: getattr(self, name) for name in BUDGET_KEYS
                 if getattr(self, name) is not None}
+
+    def filter_kwargs(self) -> Dict[str, object]:
+        """Budget and ``rank`` as ``extract_from_scores`` keyword
+        arguments (the same ones :meth:`BackboneMethod.cut` takes)."""
+        return dict(self.budget_kwargs(), rank=self.rank)
 
     def to_json(self) -> Dict[str, object]:
         payload: Dict[str, object] = dict(self.budget_kwargs())

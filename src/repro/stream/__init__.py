@@ -20,7 +20,7 @@ bounded-memory ``repro convert``.
 from .convert import stream_convert
 from .pipeline import (DEFAULT_AUTO_THRESHOLD_BYTES, DEFAULT_BLOCK_ROWS,
                        DEFAULT_RUN_ROWS, CanonicalStream, TableSummary,
-                       auto_threshold_bytes, default_block_rows,
+                       auto_streams, default_block_rows,
                        default_run_rows, open_stream)
 from .score import (STREAMABLE_METHODS, StreamingUnsupported,
                     stream_extract, supports_streaming)
@@ -33,7 +33,7 @@ __all__ = [
     "StreamingUnsupported",
     "STREAMABLE_METHODS",
     "TableSummary",
-    "auto_threshold_bytes",
+    "auto_streams",
     "default_block_rows",
     "default_run_rows",
     "open_stream",

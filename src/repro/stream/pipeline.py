@@ -76,10 +76,17 @@ def _env_int(name: str, default: int) -> int:
     return value if value > 0 else default
 
 
-def auto_threshold_bytes() -> int:
-    """Source size at which ``streaming="auto"`` switches over."""
-    return _env_int("REPRO_STREAM_THRESHOLD_BYTES",
-                    DEFAULT_AUTO_THRESHOLD_BYTES)
+def auto_streams(path) -> bool:
+    """The ``"auto"`` streaming rule: whether the file at ``path`` is
+    known to hold at least ``REPRO_STREAM_THRESHOLD_BYTES`` bytes
+    (default :data:`DEFAULT_AUTO_THRESHOLD_BYTES`). Plans and
+    ``repro convert`` both decide by it."""
+    try:
+        size = os.stat(path).st_size
+    except (OSError, ValueError):
+        return False
+    return size >= _env_int("REPRO_STREAM_THRESHOLD_BYTES",
+                            DEFAULT_AUTO_THRESHOLD_BYTES)
 
 
 def default_block_rows() -> int:

@@ -9,19 +9,22 @@ pass 2 runs it on each loop-free canonical block with the stream's
 pass-1 totals — the same marginals — so every block yields bit for bit
 the matching slice of the full-table score array.
 
-Extraction then runs on the fly:
+Extraction then runs on the fly, making the
+:class:`~repro.backbones.base.Cut` that
+:meth:`BackboneMethod.cut` resolves from each job's filter keyword
+arguments — the cut ``extract_from_scores`` makes in memory:
 
-* threshold budgets keep each block's strict survivors
-  (``score > t``, exactly :meth:`ScoredEdges.filter`);
-* share / edge-count budgets maintain a running top-``k`` under the
-  total order ``(-score, -weight, row)`` through
-  :func:`~repro.graph.edge_table.top_k_rows`, the selection
+* a cut that ranks by the method uses
+  :meth:`BackboneMethod.rank_values` per block (NC's
+  ``score - δ·sdev``), otherwise the raw score;
+* threshold cuts keep each block's strict survivors
+  (``value > t``, exactly :meth:`ScoredEdges.filter`);
+* share / edge-count cuts maintain a running top-``k`` (``k`` from
+  :meth:`Cut.k`) under the total order ``(-value, -weight, row)``
+  through :func:`~repro.graph.edge_table.top_k_rows`, the selection
   :meth:`EdgeTable.top_k_by` makes. Candidates are buffered in global
   row order, so buffer position stands in for the row and periodic
-  truncation of the buffer cannot change the final selection;
-* the method's own budgets rank by :meth:`BackboneMethod.rank_values`
-  per block (NC's ``score - δ·sdev``), mirroring its
-  ``extract_from_scores``.
+  truncation of the buffer cannot change the final selection.
 
 Memory stays O(nodes + block + backbone): only survivors accumulate.
 
@@ -36,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backbones.base import BackboneMethod, require_edges, share_to_k
+from ..backbones.base import BackboneMethod, Cut, require_edges
 from ..backbones.disparity import DisparityFilter
 from ..backbones.naive import NaiveThreshold
 from ..core.noise_corrected import (NoiseCorrectedBackbone,
@@ -71,51 +74,13 @@ def supports_streaming(method: BackboneMethod) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Budget resolution (mirrors serve._apply_filter + extract_from_scores)
-# ----------------------------------------------------------------------
-
-def _job_mode(method: BackboneMethod, budget) -> Tuple[bool, str, float]:
-    """Flatten the filter phase into ``(by_method, kind, value)``.
-
-    ``by_method`` ranks by ``method.rank_values`` (the method's own
-    budgets) instead of the raw score; ``kind`` is one of
-    ``threshold`` / ``share`` / ``n_edges``. Raises exactly the
-    diagnostics the in-memory filter phase raises for bad budgets.
-    """
-    if budget is None or budget.rank == "method" \
-            or method.parameter_free:
-        kwargs = {} if budget is None else budget.budget_kwargs()
-        return _method_mode(method, kwargs)
-    if budget.threshold is not None:
-        return False, "threshold", float(budget.threshold)
-    if budget.share is not None:
-        return False, "share", float(budget.share)
-    if budget.n_edges is not None:
-        return False, "n_edges", int(budget.n_edges)
-    return _method_mode(method, {})
-
-
-def _method_mode(method: BackboneMethod, kwargs) -> Tuple[bool, str, float]:
-    threshold, share, n_edges = method._resolve_budget(
-        kwargs.get("threshold"), kwargs.get("share"),
-        kwargs.get("n_edges"))
-    if method.parameter_free:
-        return False, "threshold", 0.0
-    if threshold is not None:
-        return True, "threshold", float(threshold)
-    if share is not None:
-        return True, "share", float(share)
-    return True, "n_edges", int(n_edges)
-
-
-# ----------------------------------------------------------------------
 # Streaming selectors
 # ----------------------------------------------------------------------
 
 class _ThresholdSelector:
     """``ScoredEdges.filter``: keep rows scoring strictly above ``t``."""
 
-    def __init__(self, threshold: float, nonloop_m: int):
+    def __init__(self, threshold: float):
         self.threshold = float(threshold)
         self._parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
@@ -204,12 +169,10 @@ class _TopKSelector:
                  self._gather(self._WEIGHT)[keep])]
 
 
-def _make_selector(kind: str, value: float, nonloop_m: int):
-    if kind == "threshold":
-        return _ThresholdSelector(value, nonloop_m)
-    if kind == "share":
-        return _TopKSelector(share_to_k(value, nonloop_m), nonloop_m)
-    return _TopKSelector(min(int(value), nonloop_m), nonloop_m)
+def _make_selector(cut: Cut, nonloop_m: int):
+    if cut.kind == "threshold":
+        return _ThresholdSelector(cut.value)
+    return _TopKSelector(cut.k(nonloop_m), nonloop_m)
 
 
 def _build_backbone(parts, stream: CanonicalStream) -> EdgeTable:
@@ -235,10 +198,12 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
                               Dict[object, Exception]]:
     """Score the stream once per distinct key, extract every job.
 
-    ``jobs`` is a sequence of ``(job_id, key, method, budget)`` tuples
+    ``jobs`` is a sequence of ``(job_id, key, method, kwargs)`` tuples
     — ``key`` the score-cache key (jobs sharing it have
-    score-identical methods and are scored once per block), ``budget``
-    a :class:`~repro.flow.spec.FilterSpec` or ``None``. Returns
+    score-identical methods and are scored once per block),
+    ``kwargs`` the job's filter keyword arguments for
+    :meth:`BackboneMethod.cut` (``FilterSpec.filter_kwargs()``; ``None``
+    means the method's default budget). Returns
     ``(backbones, errors)`` keyed by ``job_id``; failures are isolated
     with the in-memory precedence (a scoring error beats a budget
     error, exactly as ``serve`` skips the filter phase for keys that
@@ -249,16 +214,16 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
     groups: Dict[str, List[Tuple[object, BackboneMethod, bool,
                                  object]]] = {}
     resolve_errors: Dict[object, Exception] = {}
-    for job_id, key, method, budget in jobs:
+    for job_id, key, method, kwargs in jobs:
         rep.setdefault(key, method)
         groups.setdefault(key, [])
         try:
-            by_method, kind, value = _job_mode(method, budget)
-            selector = _make_selector(kind, value, stream.nonloop_m)
+            cut = method.cut(**(kwargs or {}))
+            selector = _make_selector(cut, stream.nonloop_m)
         except Exception as error:
             resolve_errors[job_id] = error
             continue
-        groups[key].append((job_id, method, by_method, selector))
+        groups[key].append((job_id, method, cut.by_method, selector))
 
     failed: Dict[str, Exception] = {}
     for key in rep:
@@ -291,7 +256,7 @@ def stream_extract(stream: CanonicalStream, jobs: Sequence[Tuple]
 
     backbones: Dict[object, EdgeTable] = {}
     errors: Dict[object, Exception] = {}
-    for job_id, key, method, budget in jobs:
+    for job_id, key, _method, _kwargs in jobs:
         if key in failed:
             errors[job_id] = failed[key]
         elif job_id in resolve_errors:

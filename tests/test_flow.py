@@ -5,7 +5,7 @@ a plan run is bit-identical to the legacy extraction path, a compiled
 sweep is bit-identical to direct scoring, and a batch of
 same-source plans performs exactly one scoring pass (verified against
 the store's traffic counters and a score spy). Plus: plan JSON
-artifacts, fingerprints, the ``filter_spec``/``describe`` hooks, the
+artifacts, fingerprints, the ``cut``/``describe`` hooks, the
 share-rounding unification and the flow-facing CLI subcommands.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sweep_reference import direct_sweep
 
-from repro.backbones.base import ScoredEdges
+from repro.backbones.base import Cut, ScoredEdges
 from repro.backbones.doubly_stochastic import SinkhornConvergenceError
 from repro.backbones.naive import NaiveThreshold
 from repro.backbones.registry import get_method, method_codes, paper_methods
@@ -175,6 +175,18 @@ class TestPlanLegacyEquivalence:
         with pytest.raises(ValueError, match="parameter-free"):
             flow(table).method("MST").budget(share=0.5,
                                              rank="score").run()
+
+    @pytest.mark.parametrize("code", ["NC", "NCp", "HSS", "KC", "MST",
+                                      "DS"])
+    def test_default_budget_ranks_by_method_under_score_rank(self, table,
+                                                             code):
+        """With no explicit budget, rank="score" changes nothing: the
+        default budget (NC's δ rule) ranks by the method."""
+        got = flow(table).method(code).budget(rank="score").run().backbone
+        want = get_method(code).extract(table)
+        assert got.src.tobytes() == want.src.tobytes()
+        assert got.dst.tobytes() == want.dst.tobytes()
+        assert got.weight.tobytes() == want.weight.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -617,6 +629,17 @@ class TestPlanIdentity:
             Plan.from_json(json.dumps({
                 "plan": 1, "source": {"kind": "file", "path": "x.csv"},
                 "method": {"code": "XYZ"}}))
+        # Budgets are typed at the plan boundary, before any scoring.
+        for budget in ({"n_edges": 2.5}, {"n_edges": True},
+                       {"n_edges": "7"}, {"n_edges": -3},
+                       {"threshold": "x"}, {"threshold": [1]},
+                       {"share": "0.5"}):
+            [field] = budget
+            with pytest.raises(ValueError, match=field):
+                Plan.from_json(json.dumps({
+                    "plan": 1,
+                    "source": {"kind": "file", "path": "x.csv"},
+                    "method": {"code": "NT"}, "filter": budget}))
 
     def test_plans_are_picklable(self, edges_csv, table):
         for plan in (flow(str(edges_csv)).method("NC", delta=2.0)
@@ -637,6 +660,10 @@ class TestPlanIdentity:
         assert info["method"]["code"] == "NT"
         assert info["filter"] == {"kind": "share", "share": 0.5,
                                   "rank": "method"}
+        # The default δ rule ranks by the method whatever rank says.
+        info = flow(table).method("NC").budget(rank="score").describe()
+        assert info["filter"] == {"kind": "threshold", "threshold": 0.0,
+                                  "rank": "method"}
 
 
 # ----------------------------------------------------------------------
@@ -651,20 +678,26 @@ class TestMethodHooks:
         assert info["config"]["use_posterior"] is True
         assert not info["parameter_free"]
 
-    def test_filter_spec_resolves_defaults(self):
-        assert get_method("NC").filter_spec() \
+    def test_cut_resolves_defaults(self):
+        assert get_method("NC").cut().describe() \
             == {"kind": "threshold", "threshold": 0.0}
-        assert get_method("MST").filter_spec() == {"kind": "natural"}
-        assert get_method("NT").filter_spec(share=0.25) \
+        assert get_method("MST").cut().describe() == {"kind": "natural"}
+        assert get_method("NT").cut(share=0.25).describe() \
             == {"kind": "share", "share": 0.25}
-        assert get_method("NT").filter_spec(n_edges=7) \
+        assert get_method("NT").cut(n_edges=7).describe() \
             == {"kind": "n_edges", "n_edges": 7}
+        # rank="score" ranks an explicit budget by the raw score; a
+        # default budget ranks by the method either way.
+        nc = get_method("NC")
+        assert nc.cut(n_edges=5).by_method
+        assert not nc.cut(n_edges=5, rank="score").by_method
+        assert nc.cut(rank="score") == Cut("threshold", 0.0, True)
 
-    def test_filter_spec_validates_like_extract(self):
+    def test_cut_validates_like_extract(self):
         with pytest.raises(ValueError, match="exactly one"):
-            get_method("NT").filter_spec()
+            get_method("NT").cut()
         with pytest.raises(ValueError, match="parameter-free"):
-            get_method("MST").filter_spec(share=0.1)
+            get_method("MST").cut(share=0.1)
 
 
 # ----------------------------------------------------------------------
@@ -683,16 +716,11 @@ class TestShareRounding:
             k = scored.share_to_k(share)
             assert k == min(int(round(share * scored.m)), scored.m)
             assert scored.top_share(share).m == k
-            threshold = scored.threshold_for_share(share)
-            # The strict cut keeps no more edges than the k budget —
-            # the two rounding rules can no longer disagree by one.
-            assert scored.filter(threshold).m <= k
+            # Every share cut, in memory and streamed, rounds the same.
+            assert Cut("share", share).k(scored.m) == k
 
     def test_k_zero_threshold_keeps_nothing(self):
         scored = self.scored()
-        threshold = scored.threshold_for_share(0.0)
-        assert threshold == float(scored.score.max())
-        assert scored.filter(threshold).m == 0
         assert scored.top_share(0.0).m == 0
 
     def test_share_validation(self):
@@ -700,7 +728,7 @@ class TestShareRounding:
         with pytest.raises(ValueError, match=r"share must be in \[0, 1\]"):
             scored.top_share(1.5)
         with pytest.raises(ValueError, match=r"share must be in \[0, 1\]"):
-            scored.threshold_for_share(-0.1)
+            Cut("share", -0.1).k(scored.m)
 
 
 # ----------------------------------------------------------------------

@@ -119,10 +119,16 @@ class TestProtocol:
 
     def test_malformed_plan_fails_its_slot_only(self, edges_csv, client):
         good = flow(str(edges_csv)).method("NC", delta=1.0)
-        reply = client.run([{"garbage": True}, good.to_json()])
-        bad_slot, good_slot = reply["results"]
+        string_share = json.loads(good.to_json())
+        string_share["filter"] = {"share": "0.5"}
+        reply = client.run([{"garbage": True}, string_share,
+                            good.to_json()])
+        bad_slot, share_slot, good_slot = reply["results"]
         assert not bad_slot["ok"]
         assert bad_slot["error"]["type"]
+        # A mistyped budget is a typed per-plan error, not a TypeError.
+        assert not share_slot["ok"]
+        assert share_slot["error"]["type"] == "ValueError"
         assert good_slot["ok"]
 
     def test_unreadable_source_fails_its_plans_only(self, edges_csv,

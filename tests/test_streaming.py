@@ -107,7 +107,7 @@ def run_pair(path, directed, code, budget=None, block_rows=None,
 
 class TestStreamBitIdentity:
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_flow_streaming_matches_memory(self, data):
         n_nodes = data.draw(st.integers(1, 10), label="n_nodes")
         n_rows = data.draw(st.integers(1, 48), label="n_rows")
@@ -123,12 +123,15 @@ class TestStreamBitIdentity:
         block_rows = data.draw(st.integers(1, 9), label="block_rows")
         run_rows = data.draw(st.integers(2, 24), label="run_rows")
         code = data.draw(st.sampled_from(STREAMABLE), label="method")
+        # DF and NT have no default budget: with none (or only a rank)
+        # both paths must raise the same "exactly one" error.
         budget = data.draw(st.sampled_from([
             None, {"threshold": 0.5}, {"share": 0.3},
             {"n_edges": 5}, {"share": 0.5, "rank": "score"},
-            {"threshold": 2.0, "rank": "score"}]), label="budget")
-        if budget is None and code in ("DF", "NT"):
-            budget = {"share": 0.4}  # no default budget for these
+            {"threshold": 2.0, "rank": "score"},
+            {"n_edges": 5, "rank": "score"}, {"n_edges": 0},
+            {"n_edges": 10**6}, {"share": 0.0}, {"share": 1.0},
+            {"rank": "score"}]), label="budget")
 
         outcomes = []
         with tempfile.TemporaryDirectory() as tmp:
@@ -269,19 +272,29 @@ class TestStreamingGate:
             flow(str(path), streaming="yes")
 
     def test_auto_threshold_env_knob(self, tmp_path, monkeypatch):
+        import repro.stream
+
         path = write_csv(tmp_path / "edges.csv",
                          [(i % 5, (i + 1) % 5, i + 1)
                           for i in range(30)])
+        convert = mock.Mock(wraps=repro.stream.stream_convert)
+        monkeypatch.setattr(repro.stream, "stream_convert", convert)
         monkeypatch.setenv("REPRO_STREAM_THRESHOLD_BYTES", "1")
         streamed = flow(str(path), streaming="auto").method("NC").run()
         assert streamed.table is None and streamed.base is not None
         # Unsupported methods silently stay in memory under "auto".
         in_memory = flow(str(path), streaming="auto").method("MST").run()
         assert in_memory.table is not None
+        # repro convert decides by the same rule.
+        out = tmp_path / "out.npz"
+        assert main(["convert", str(path), str(out)]) == 0
+        assert convert.call_count == 1
         monkeypatch.setenv("REPRO_STREAM_THRESHOLD_BYTES",
                            str(1 << 40))
         small = flow(str(path), streaming="auto").method("NC").run()
         assert small.table is not None
+        assert main(["convert", str(path), str(out)]) == 0
+        assert convert.call_count == 1
 
     def test_plan_json_round_trips_streaming(self, tmp_path):
         from repro.flow import Plan
