@@ -19,6 +19,7 @@ across two workers — and asserts:
 
 from conftest import emit
 
+from repro.backbones.base import share_to_k
 from repro.backbones.doubly_stochastic import SinkhornConvergenceError
 from repro.backbones.registry import paper_methods
 from repro.evaluation.sweep import DEFAULT_SHARES, SweepSeries
@@ -56,7 +57,7 @@ def _direct_sweeps(world):
                     scored = method.score(table)
                     series = SweepSeries(
                         code, list(DEFAULT_SHARES),
-                        [metric(scored.top_share(share))
+                        [metric(scored.top_k(share_to_k(share, scored.m)))
                          for share in DEFAULT_SHARES], False)
             except SinkhornConvergenceError:
                 series = SweepSeries(code, [], [], True)

@@ -79,15 +79,6 @@ class ScoredEdges:
         """Keep exactly the ``k`` highest-scoring edges (deterministic)."""
         return self.table.top_k_by(self.score, min(int(k), self.m))
 
-    def share_to_k(self, share: float) -> int:
-        """Edge budget equivalent to ``share`` of these edges, by the
-        module-level :func:`share_to_k` every share cut uses."""
-        return share_to_k(share, self.m)
-
-    def top_share(self, share: float) -> EdgeTable:
-        """Keep the top ``share`` fraction of edges by score."""
-        return self.top_k(self.share_to_k(share))
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -213,7 +204,7 @@ class BackboneMethod(ABC):
             if default is not None:
                 chosen, by_method = list(default.items()), True
         require(len(chosen) == 1,
-                f"give exactly one of threshold/share/n_edges, "
+                f"{self.name} needs exactly one of threshold/share/n_edges, "
                 f"got {[name for name, _ in chosen]}")
         [(kind, value)] = chosen
         value = int(value) if kind == "n_edges" else float(value)
@@ -255,8 +246,7 @@ class BackboneMethod(ABC):
         ``None`` (the base default) means a budget is mandatory.
         Methods with a natural operating point return a single-entry
         mapping — e.g. ``{"threshold": 0.5}`` for the High-Salience
-        Skeleton — and the CLI uses this hook to know which methods may
-        run without budget flags.
+        Skeleton; :meth:`cut` falls back to it.
         """
         return None
 

@@ -41,6 +41,10 @@ Cache locations (``--cache-dir`` and the ``cache`` subcommands) accept
 a directory path, a ``.sqlite``/``.db`` file, or an explicit
 ``sqlite://``/``dir://``/``kv://host:port`` spec; input paths also
 accept ``http(s)://`` and ``kv://host:port/key`` source URLs.
+
+Exit codes: 0 on success; 2 for bad input, as one ``error:`` line on
+stderr; 1 when ``obs trace``'s plan fails or no daemon or KV server
+answers (``serve status|shutdown``, ``obs metrics``, ``net stats|put``).
 """
 
 from __future__ import annotations
@@ -349,48 +353,30 @@ def _make_method(code: str, delta: float):
 
 def _build_plan(args: argparse.Namespace):
     """Lower backbone/score arguments onto a declarative flow plan."""
-    from .flow import flow
+    from .flow import BUDGET_KEYS, flow
 
     params = {"delta": args.delta} if args.method in _DELTA_CODES else {}
     streaming = _STREAMING_MODES[getattr(args, "streaming", "auto")]
     plan = flow(args.input, directed=args.directed,
                 streaming=streaming).method(args.method, **params)
-    kwargs = {}
-    for name in ("threshold", "share", "n_edges"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
+    kwargs = {name: getattr(args, name) for name in BUDGET_KEYS
+              if getattr(args, name, None) is not None}
     if kwargs:
         plan = plan.budget(**kwargs)
     return plan, kwargs
 
 
 def _run_backbone(args: argparse.Namespace) -> int:
-    from .flow import StreamingUnsupported
+    from .pipeline import ScoreStore
 
     plan, kwargs = _build_plan(args)
-    method = plan.method_spec.build()
-    if method.parameter_free and kwargs:
-        print(f"error: {method.name} is parameter-free; drop the budget "
-              "flags", file=sys.stderr)
-        return 2
-    if not method.parameter_free and not kwargs \
-            and method.default_budget() is None:
-        print("error: this method needs --threshold, --share or "
-              "--n-edges", file=sys.stderr)
-        return 2
-    store = None
-    if getattr(args, "cache_dir", None) is not None:
-        from .pipeline import ScoreStore
-        store = ScoreStore(args.cache_dir)
+    # The method's own budget rule, checked before anything is parsed.
+    plan.method_spec.build().cut(**kwargs)
+    store = None if args.cache_dir is None else ScoreStore(args.cache_dir)
     if args.explain:
         print(plan.explain(store=store))
         return 0
-    try:
-        result = plan.run(store=store)
-    except StreamingUnsupported as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    result = plan.run(store=store)
     backbone = result.backbone
     # The source's TableSummary answers everything the report needs
     # (m, non_isolated_count), in memory, streamed or warm alike.
@@ -405,7 +391,6 @@ def _run_backbone(args: argparse.Namespace) -> int:
 
 def _run_score(args: argparse.Namespace) -> int:
     plan, _ = _build_plan(args)
-    method = plan.method_spec.build()
     scored = plan.scores()
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -419,11 +404,13 @@ def _run_score(args: argparse.Namespace) -> int:
             if scored.sdev is not None:
                 record.append(repr(float(scored.sdev[row])))
             writer.writerow(record)
-    print(f"scored {scored.m} edges with {method.name}")
+    print(f"scored {scored.m} edges with {scored.method}")
     return 0
 
 
 def _run_info(args: argparse.Namespace) -> int:
+    import numpy as np
+
     table = read_edges(args.input, directed=args.directed)
     weights = table.weight
     print(f"format:    {detect_format(args.input)}")
@@ -433,18 +420,14 @@ def _run_info(args: argparse.Namespace) -> int:
     print(f"density:   {density(table):.4f}")
     print(f"isolates:  {len(table.isolates())}")
     if table.m:
-        print(f"weights:   min={weights.min():g} "
-              f"median={sorted(weights)[len(weights) // 2]:g} "
+        median = np.partition(weights, table.m // 2)[table.m // 2]
+        print(f"weights:   min={weights.min():g} median={median:g} "
               f"max={weights.max():g} total={weights.sum():g}")
     return 0
 
 
 def _run_convert(args: argparse.Namespace) -> int:
-    try:
-        table = _convert_edges(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    table = _convert_edges(args)
     kind = "directed" if table.directed else "undirected"
     labeled = "labeled" if table.labels is not None else "unlabeled"
     print(f"wrote {args.output} ({detect_format(args.output)}): "
@@ -488,25 +471,16 @@ def _run_sweep(args: argparse.Namespace) -> int:
     store = None if args.cache_dir is None else ScoreStore(args.cache_dir)
     codes = [code.strip() for code in args.methods.split(",")
              if code.strip()]
-    try:
-        methods = [_make_method(code, args.delta) for code in codes]
-        metric = MetricSpec(args.metric)
-        shares = DEFAULT_SHARES if args.shares is None else tuple(
-            float(part) for part in args.shares.split(","))
-        for share in shares:
-            if not 0.0 <= share <= 1.0:
-                raise ValueError(f"share must be in [0, 1], got {share}")
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        series = sweep_methods(methods, flow(args.input,
-                                             directed=args.directed),
-                               metric, shares=shares, store=store,
-                               workers=args.workers)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    methods = [_make_method(code, args.delta) for code in codes]
+    metric = MetricSpec(args.metric)
+    shares = DEFAULT_SHARES if args.shares is None else tuple(
+        float(part) for part in args.shares.split(","))
+    for share in shares:
+        if not 0.0 <= share <= 1.0:
+            raise ValueError(f"share must be in [0, 1], got {share}")
+    series = sweep_methods(methods, flow(args.input, directed=args.directed),
+                           metric, shares=shares, store=store,
+                           workers=args.workers)
 
     header = "share".rjust(7) + "".join(code.rjust(12) for code in codes)
     print(f"{args.metric} across shares of edges kept")
@@ -542,35 +516,22 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_plan(path: str):
-    """The plan artifact saved at ``path``, or ``None`` after printing
-    why it cannot be read."""
+    """The plan artifact saved at ``path``."""
     from .flow import Plan
 
-    try:
-        with open(path) as handle:
-            return Plan.from_json(handle.read())
-    except OSError as error:
-        print(f"error: cannot read plan: {error}", file=sys.stderr)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-    return None
+    with open(path) as handle:
+        return Plan.from_json(handle.read())
 
 
 def _run_flow(args: argparse.Namespace) -> int:
     from .pipeline import ScoreStore
 
     plan = _read_plan(args.plan)
-    if plan is None:
-        return 2
     store = None if args.cache_dir is None else ScoreStore(args.cache_dir)
     if args.explain:
         print(plan.explain(store=store))
         return 0
-    try:
-        result = plan.run(store=store, workers=args.workers)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    result = plan.run(store=store, workers=args.workers)
     backbone = result.backbone
     if args.output:
         write_edges(backbone, args.output)
@@ -604,8 +565,6 @@ def _run_obs(args: argparse.Namespace) -> int:
     from .pipeline import ScoreStore
 
     plan = _read_plan(args.plan)
-    if plan is None:
-        return 2
     store = None if args.cache_dir is None else ScoreStore(args.cache_dir)
     with trace("cli.trace", plan=plan.fingerprint()[:16]) as root:
         results = serve([plan], store=store, workers=args.workers)
@@ -629,16 +588,11 @@ def _run_obs(args: argparse.Namespace) -> int:
 def _run_cache(args: argparse.Namespace) -> int:
     from .pipeline.backends import open_backend
 
-    try:
-        if args.cache_command == "stats":
-            return _cache_stats(open_backend(args.store))
-        if args.cache_command == "gc":
-            return _cache_gc(open_backend(args.store), args)
-        return _cache_migrate(open_backend(args.source),
-                              open_backend(args.dest))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if args.cache_command == "stats":
+        return _cache_stats(open_backend(args.store))
+    if args.cache_command == "gc":
+        return _cache_gc(open_backend(args.store), args)
+    return _cache_migrate(open_backend(args.source), open_backend(args.dest))
 
 
 def _cache_stats(backend) -> int:
@@ -670,12 +624,8 @@ def _cache_gc(backend, args: argparse.Namespace) -> int:
 
     max_age = None if args.max_age_days is None \
         else args.max_age_days * 86_400.0
-    try:
-        policy = GCPolicy(max_bytes=args.max_bytes,
-                          max_entries=args.max_entries, max_age=max_age)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    policy = GCPolicy(max_bytes=args.max_bytes,
+                      max_entries=args.max_entries, max_age=max_age)
     result = run_gc(backend, policy, dry_run=args.dry_run)
     print(result.summary())
     return 0
@@ -715,18 +665,15 @@ def _net_address(text: str):
 def _run_net(args: argparse.Namespace) -> int:
     import json
 
+    from .pipeline.backends import KVError
+
     if args.net_command == "serve":
         from .net.server import main as net_main
 
         return net_main(["--host", args.host, "--port", str(args.port)])
-    try:
-        host, port = _net_address(args.address)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    host, port = _net_address(args.address)
     if args.net_command == "stats":
         from .net import SocketKVTransport
-        from .pipeline.backends import KVError
 
         transport = SocketKVTransport(host, port)
         try:
@@ -740,14 +687,9 @@ def _run_net(args: argparse.Namespace) -> int:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     from .net import put_object
-    from .pipeline.backends import KVError
 
     try:
         url = put_object(f"kv://{host}:{port}", args.key, args.file)
-    except OSError as error:
-        print(f"error: cannot read {args.file}: {error}",
-              file=sys.stderr)
-        return 2
     except KVError as error:
         print(f"no KV server at {host}:{port} ({error})",
               file=sys.stderr)
@@ -835,7 +777,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns the exit code the module docstring lists.
+
+    >>> main(["info", "no-such-file.csv"])
+    2
+    """
     args = build_parser().parse_args(argv)
     handlers = {"backbone": _run_backbone, "score": _run_score,
                 "info": _run_info, "convert": _run_convert,
@@ -843,7 +789,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "obs": _run_obs, "cache": _run_cache,
                 "net": _run_net, "serve": _run_serve,
                 "analyze": _run_analyze}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

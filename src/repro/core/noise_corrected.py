@@ -59,7 +59,7 @@ class NoiseCorrectedBackbone(BackboneMethod):
     extraction_only_params = ("delta",)
 
     def __init__(self, delta: float = 1.64, use_posterior: bool = True):
-        if delta < 0:
+        if not delta >= 0:  # NaN too
             raise ValueError(f"delta must be non-negative, got {delta}")
         self.delta = float(delta)
         self.use_posterior = bool(use_posterior)
@@ -144,7 +144,7 @@ class NoiseCorrectedPValue(BackboneMethod):
     extraction_only_params = ("delta",)
 
     def __init__(self, delta: float = 1.64):
-        if delta < 0:
+        if not delta >= 0:  # NaN too
             raise ValueError(f"delta must be non-negative, got {delta}")
         self.delta = float(delta)
 

@@ -342,5 +342,6 @@ class Plan:
                 payload["streaming"]))
         # Surface config errors (unknown codes, bad budgets) at load
         # time, not at run time on a remote worker.
-        plan.method_spec.build()
+        budget = plan.budget_spec or FilterSpec()
+        plan.method_spec.build().cut(**budget.filter_kwargs())
         return plan

@@ -25,8 +25,8 @@ each a small frozen object that *describes* work without doing any:
   ``n_edges`` plus a ``rank`` mode, handed whole to the method's
   :meth:`~repro.backbones.base.BackboneMethod.extract_from_scores`.
   ``rank="method"`` (the default) reproduces ``method.extract`` bit
-  for bit; ``rank="score"`` ranks raw scores the way share sweeps do,
-  reproducing ``method.score(table).top_share(share)``.
+  for bit; ``rank="score"`` ranks an explicit budget by the raw
+  scores, the way share sweeps do.
 * metric specs — :class:`MetricSpec` names one of the registered
   metrics (resolved against the source's table summary when the plan
   compiles, so ``"coverage"`` measures retention against the *input*);
@@ -40,6 +40,7 @@ is what makes plans shippable artifacts (``repro flow run plan.json``).
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -291,8 +292,9 @@ class FilterSpec:
     the method either way.
 
     Budgets arrive from plan JSON and daemon clients, so they are
-    typed here: ``threshold`` and ``share`` real numbers (``share`` in
-    [0, 1]), ``n_edges`` a non-negative integer, and never ``bool``.
+    typed here: ``threshold`` and ``share`` real numbers (``threshold``
+    not NaN, ``share`` in [0, 1]), ``n_edges`` a non-negative integer,
+    and never ``bool``.
     """
 
     threshold: Optional[float] = None
@@ -316,6 +318,9 @@ class FilterSpec:
             require(value is None or (isinstance(value, kind)
                                       and not isinstance(value, bool)),
                     f"{name} must be {noun}, got {value!r}")
+        if self.threshold is not None:
+            require(not math.isnan(self.threshold),
+                    "threshold must not be NaN")
         if self.share is not None:
             require(0.0 <= self.share <= 1.0,
                     f"share must be in [0, 1], got {self.share}")

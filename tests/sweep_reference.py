@@ -2,12 +2,14 @@
 
 The experiments run only as :mod:`repro.flow` plan batches. These
 helpers compute the same numbers from the methods alone
-(``method.score(table).top_share(share)`` and ``method.extract``), so
-identity checks compare plans against the methods themselves rather
-than against a second plan run. Lives in its own module so test files
+(``scored.top_k(share_to_k(share, scored.m))`` on
+``method.score(table)``, and ``method.extract``), so identity checks
+compare plans against the methods themselves rather than against a
+second plan run. Lives in its own module so test files
 can import it by name.
 """
 
+from repro.backbones.base import share_to_k
 from repro.backbones.doubly_stochastic import SinkhornConvergenceError
 from repro.backbones.registry import paper_methods
 from repro.evaluation.quality import (backbone_pair_mask, network_design,
@@ -32,7 +34,7 @@ def direct_sweep(methods, table, metric, shares=DEFAULT_SHARES):
                                                [metric(backbone)], True)
             else:
                 scored = method.score(table)
-                values = [metric(scored.top_share(share))
+                values = [metric(scored.top_k(share_to_k(share, scored.m)))
                           for share in shares]
                 out[method.code] = SweepSeries(method.code, list(shares),
                                                values, False)

@@ -365,6 +365,10 @@ class TestInfoCommand:
         assert "nodes:     20" in out
         assert "directed:  False" in out
         assert "density:" in out
+        # 190 edges: the median is the upper of the two middle weights.
+        weights = sorted(read_edges(edges_csv, directed=False).weight)
+        assert len(weights) % 2 == 0
+        assert f"median={weights[len(weights) // 2]:g} " in out
 
     def test_unknown_method_rejected(self, edges_csv, tmp_path):
         with pytest.raises(SystemExit):
@@ -416,7 +420,73 @@ class TestNetCommand:
     def test_missing_upload_file_reports(self, tmp_path, capsys):
         from repro.net import SocketKVServer
 
+        missing = tmp_path / "nope.csv"
         with SocketKVServer() as server:
             assert main(["net", "put", f"127.0.0.1:{server.port}",
-                         "k", str(tmp_path / "nope.csv")]) == 2
-        assert "cannot read" in capsys.readouterr().err
+                         "k", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "No such file or directory" in err
+
+
+#: Bad input on every input-reading command: ``(argv, a fragment of
+#: the message, whether it must fail before the input is parsed)``.
+#: ``{good}`` is a valid edge list, ``{bad}`` has a malformed line,
+#: ``{missing}`` does not exist and ``{tmp}`` is the test directory.
+ERROR_MATRIX = {
+    "share-above-1": (["backbone", "{good}", "{tmp}/o.csv", "--method",
+                       "NT", "--share", "1.5"], "share must be in", True),
+    "negative-n-edges": (["backbone", "{good}", "{tmp}/o.csv",
+                          "--method", "NT", "--n-edges", "-3"],
+                         "n_edges must be a non-negative", True),
+    "missing-backbone": (["backbone", "{missing}", "{tmp}/o.csv"],
+                         "No such file", False),
+    "missing-score": (["score", "{missing}", "{tmp}/o.csv"],
+                      "No such file", False),
+    "missing-info": (["info", "{missing}"], "No such file", False),
+    "missing-convert": (["convert", "{missing}", "{tmp}/o.npz"],
+                        "No such file", False),
+    "missing-sweep": (["sweep", "{missing}"], "No such file", False),
+    "malformed-info": (["info", "{bad}"], "line 3", False),
+    "malformed-backbone": (["backbone", "{bad}", "{tmp}/o.csv"],
+                           "line 3", False),
+    "malformed-score": (["score", "{bad}", "{tmp}/o.csv"], "line 3",
+                        False),
+    "output-dir-missing": (["backbone", "{good}", "{tmp}/no-dir/o.csv"],
+                           "No such file", False),
+    "bogus-cache-dir": (["backbone", "{good}", "{tmp}/o.csv",
+                         "--cache-dir", "bogus://x"],
+                        "unknown backend scheme", True),
+    "mst-share": (["backbone", "{good}", "{tmp}/o.csv", "--method", "MST",
+                   "--share", "0.5"], "parameter-free", True),
+    "nt-no-budget": (["backbone", "{good}", "{tmp}/o.csv", "--method",
+                      "NT"], "needs exactly one", True),
+    "nan-delta": (["backbone", "{good}", "{tmp}/o.csv", "--delta", "nan"],
+                  "delta must be non-negative", True),
+    "nan-threshold": (["backbone", "{good}", "{tmp}/o.csv", "--method",
+                       "NT", "--threshold", "nan"],
+                      "threshold must not be NaN", True),
+}
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("case", sorted(ERROR_MATRIX))
+    def test_bad_input_is_one_error_line(self, case, edges_csv, tmp_path,
+                                         monkeypatch, capsys):
+        argv, fragment, before_parsing = ERROR_MATRIX[case]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("src,dst,weight\n0,1,3\n1,2\n")
+        paths = {"good": edges_csv, "bad": bad, "tmp": tmp_path,
+                 "missing": tmp_path / "missing.csv"}
+        if before_parsing:
+            from repro import cli
+            from repro.flow import sources, spec
+
+            def forbidden(*args, **kwargs):
+                raise AssertionError("bad input parsed its source")
+
+            for module in (cli, spec, sources):
+                monkeypatch.setattr(module, "read_edges", forbidden)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert fragment in lines[0] and "Traceback" not in lines[0]

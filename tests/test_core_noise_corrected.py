@@ -83,6 +83,13 @@ class TestDeltaFilter:
         with pytest.raises(ValueError):
             NoiseCorrectedBackbone(delta=-1.0)
 
+    @pytest.mark.parametrize("cls", [NoiseCorrectedBackbone,
+                                     NoiseCorrectedPValue])
+    def test_nan_delta_rejected(self, cls):
+        """NaN fails ``delta < 0`` too; it would keep no edge at all."""
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            cls(delta=float("nan"))
+
     def test_higher_delta_keeps_fewer_edges(self):
         table = dense_random_table(seed=3)
         sizes = [NoiseCorrectedBackbone(delta=d).extract(table).m

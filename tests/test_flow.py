@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sweep_reference import direct_sweep
 
-from repro.backbones.base import Cut, ScoredEdges
+from repro.backbones.base import Cut, ScoredEdges, share_to_k
 from repro.backbones.doubly_stochastic import SinkhornConvergenceError
 from repro.backbones.naive import NaiveThreshold
 from repro.backbones.registry import get_method, method_codes, paper_methods
@@ -633,7 +633,7 @@ class TestPlanIdentity:
         for budget in ({"n_edges": 2.5}, {"n_edges": True},
                        {"n_edges": "7"}, {"n_edges": -3},
                        {"threshold": "x"}, {"threshold": [1]},
-                       {"share": "0.5"}):
+                       {"share": "0.5"}, {"threshold": float("nan")}):
             [field] = budget
             with pytest.raises(ValueError, match=field):
                 Plan.from_json(json.dumps({
@@ -713,20 +713,20 @@ class TestShareRounding:
     def test_threshold_and_top_share_agree_at_tiny_shares(self):
         scored = self.scored()
         for share in (0.0, 1e-6, 0.004, 0.011, 0.02, 0.5, 1.0):
-            k = scored.share_to_k(share)
+            k = share_to_k(share, scored.m)
             assert k == min(int(round(share * scored.m)), scored.m)
-            assert scored.top_share(share).m == k
+            assert scored.top_k(k).m == k
             # Every share cut, in memory and streamed, rounds the same.
             assert Cut("share", share).k(scored.m) == k
 
     def test_k_zero_threshold_keeps_nothing(self):
         scored = self.scored()
-        assert scored.top_share(0.0).m == 0
+        assert scored.top_k(share_to_k(0.0, scored.m)).m == 0
 
     def test_share_validation(self):
         scored = self.scored()
         with pytest.raises(ValueError, match=r"share must be in \[0, 1\]"):
-            scored.top_share(1.5)
+            scored.top_k(share_to_k(1.5, scored.m))
         with pytest.raises(ValueError, match=r"share must be in \[0, 1\]"):
             Cut("share", -0.1).k(scored.m)
 
@@ -776,8 +776,30 @@ class TestFlowCLI:
 
     @PLAN_COMMANDS
     def test_flow_run_missing_plan_errors(self, tmp_path, capsys, command):
-        assert main([*command, str(tmp_path / "nope.json")]) == 2
-        assert "cannot read plan" in capsys.readouterr().err
+        missing = tmp_path / "nope.json"
+        assert main([*command, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "No such file or directory" in err
+
+    @PLAN_COMMANDS
+    @pytest.mark.parametrize("code, budget, message", [
+        ("MST", {"share": 0.5}, "parameter-free"),
+        ("NT", None, "needs exactly one")], ids=["MST-share", "NT-none"])
+    def test_bad_budget_plan_fails_before_parsing(
+            self, edges_csv, tmp_path, capsys, monkeypatch, parse_spy,
+            command, code, budget, message):
+        artifact = json.loads(flow(str(edges_csv)).method(code).to_json())
+        artifact["filter"] = budget
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(artifact))
+        parse_spy.forbid()
+        monkeypatch.setattr(
+            type(get_method(code)), "score",
+            lambda *a: (_ for _ in ()).throw(
+                AssertionError("a bad budget was scored")))
+        assert main([*command, str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @PLAN_COMMANDS
     def test_flow_run_invalid_plan_errors(self, tmp_path, capsys, command):

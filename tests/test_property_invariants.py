@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.backbones import (DisparityFilter, MaximumSpanningTree,
                              NaiveThreshold)
-from repro.backbones.base import ScoredEdges
+from repro.backbones.base import ScoredEdges, share_to_k
 from repro.community import louvain, modularity
 from repro.core import (NoiseCorrectedBackbone, NoiseCorrectedPValue,
                         expected_weights, transformed_lift)
@@ -114,7 +114,7 @@ class TestBudgetInvariants:
     @settings(max_examples=40, deadline=None)
     def test_top_share_size(self, table, share):
         scored = NaiveThreshold().score(table)
-        kept = scored.top_share(share)
+        kept = scored.top_k(share_to_k(share, scored.m))
         assert kept.m == round(share * scored.m)
 
     @given(edge_tables())
@@ -290,7 +290,7 @@ class TestTotalOrder:
                              method="NT")
         for k in range(m + 1):
             share = k / m
-            kept = scored.top_share(share)
+            kept = scored.top_k(share_to_k(share, m))
             want = lexsort_top_k(values, weight, int(round(share * m)))
             assert kept.src.tolist() == want.tolist()
             assert kept.weight.tobytes() == weight[want].tobytes()

@@ -121,15 +121,21 @@ class TestProtocol:
         good = flow(str(edges_csv)).method("NC", delta=1.0)
         string_share = json.loads(good.to_json())
         string_share["filter"] = {"share": "0.5"}
-        reply = client.run([{"garbage": True}, string_share,
+        mst_share = json.loads(flow(str(edges_csv)).method("MST").to_json())
+        mst_share["filter"] = {"share": 0.5}
+        reply = client.run([{"garbage": True}, string_share, mst_share,
                             good.to_json()])
-        bad_slot, share_slot, good_slot = reply["results"]
+        bad_slot, share_slot, mst_slot, good_slot = reply["results"]
         assert not bad_slot["ok"]
         assert bad_slot["error"]["type"]
         # A mistyped budget is a typed per-plan error, not a TypeError.
         assert not share_slot["ok"]
         assert share_slot["error"]["type"] == "ValueError"
+        # A budget the method rejects fails at load, before admission.
+        assert not mst_slot["ok"]
+        assert "parameter-free" in mst_slot["error"]["message"]
         assert good_slot["ok"]
+        assert reply["batch"]["plans"] == 1
 
     def test_unreadable_source_fails_its_plans_only(self, edges_csv,
                                                     client):
