@@ -100,33 +100,6 @@ def call_name(node: ast.Call) -> Optional[str]:
     return dotted_name(node.func)
 
 
-def assign_targets(node: ast.AST) -> List[ast.AST]:
-    """Store-context target expressions of an assignment statement.
-
-    Tuple/list targets are flattened; ``Starred`` is unwrapped. Works
-    for ``Assign``, ``AugAssign``, ``AnnAssign``, ``For``, ``withitem``
-    ``as`` bindings and walrus targets.
-    """
-    raw: List[ast.AST] = []
-    if isinstance(node, ast.Assign):
-        raw.extend(node.targets)
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        raw.append(node.target)
-    elif isinstance(node, ast.NamedExpr):
-        raw.append(node.target)
-    flat: List[ast.AST] = []
-    stack = raw[::-1]
-    while stack:
-        target = stack.pop()
-        if isinstance(target, (ast.Tuple, ast.List)):
-            stack.extend(target.elts[::-1])
-        elif isinstance(target, ast.Starred):
-            stack.append(target.value)
-        else:
-            flat.append(target)
-    return flat
-
-
 #: Method names that mutate their receiver in place — used to treat
 #: ``self.pending.append(x)`` as a write to ``pending``.
 MUTATING_METHODS = frozenset({

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterator, List, Tuple, Type
 
 from ..astutil import attach_parents
@@ -46,11 +45,6 @@ class Module:
         tree = ast.parse(source)
         attach_parents(tree)
         return cls(path=path, source=source, tree=tree)
-
-    @classmethod
-    def from_file(cls, file_path: Path, rel_path: str) -> "Module":
-        return cls.parse(rel_path,
-                         file_path.read_text(encoding="utf-8"))
 
 
 class Checker:

@@ -29,10 +29,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..astutil import (FUNCTION_KINDS, MUTATING_METHODS, ancestors,
-                       call_name, dotted_name, enclosing_class,
-                       enclosing_function, is_self_attribute, parent,
-                       withs_containing)
+from ..astutil import (FUNCTION_KINDS, MUTATING_METHODS, call_name,
+                       dotted_name, enclosing_class, enclosing_function,
+                       is_self_attribute, parent, withs_containing)
 from ..findings import Finding
 from .base import Checker, Module, register_checker
 

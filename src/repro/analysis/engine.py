@@ -19,7 +19,7 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .baseline import Baseline, BaselineResult
 from .checkers import all_checkers
@@ -202,8 +202,3 @@ def analyze_paths(paths: Sequence[Path],
         live = [f for report in reports for f in report.findings]
         result = baseline.apply(live)
     return AnalysisReport(modules=tuple(reports), baseline=result)
-
-
-def findings_for_baseline(report: AnalysisReport) -> Iterable[Finding]:
-    """The findings a ``--write-baseline`` run should grandfather."""
-    return report.findings

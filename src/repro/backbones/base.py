@@ -21,6 +21,7 @@ cut it returns.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -175,13 +176,13 @@ class BackboneMethod(ABC):
             n_edges: Optional[int] = None, rank: str = "method") -> Cut:
         """Resolve a budget into the :class:`Cut` the filter phase makes.
 
-        The one budget rule. Exactly one of ``threshold``, ``share`` or
-        ``n_edges`` may be given, none to a parameter-free method (its
-        cut is ``"natural"``); with none, :meth:`default_budget`
-        applies. ``rank="method"`` ranks by :meth:`rank_values`,
-        ``rank="score"`` by the raw score, as share sweeps do; a
-        default budget always ranks by the method, whatever ``rank``
-        says.
+        The one budget rule. Exactly one of ``threshold`` (not NaN),
+        ``share`` or ``n_edges`` may be given, none to a parameter-free
+        method (its cut is ``"natural"``); with none,
+        :meth:`default_budget` applies. ``rank="method"`` ranks by
+        :meth:`rank_values`, ``rank="score"`` by the raw score, as share
+        sweeps do; a default budget always ranks by the method, whatever
+        ``rank`` says.
 
         >>> from repro.backbones.registry import get_method
         >>> get_method("NC").cut().describe()
@@ -208,6 +209,8 @@ class BackboneMethod(ABC):
                 f"got {[name for name, _ in chosen]}")
         [(kind, value)] = chosen
         value = int(value) if kind == "n_edges" else float(value)
+        require(not (kind == "threshold" and math.isnan(value)),
+                "threshold must not be NaN")
         return Cut(kind, value, by_method)
 
     def rank_values(self, scored: ScoredEdges) -> np.ndarray:

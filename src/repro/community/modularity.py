@@ -39,15 +39,3 @@ def modularity(table: EdgeTable, partition: Partition) -> float:
                                         minlength=k)
     return float((internal / total
                   - (strength_by_community / (2.0 * total)) ** 2).sum())
-
-
-def modularity_gain_matrixfree(table: EdgeTable) -> float:
-    """Best-partition modularity upper bound sanity value (singletons=0).
-
-    Exposed mostly for tests: the singleton partition of a loop-free
-    graph has modularity ``-Σ (s_i/2W)^2 < 0`` and the one-community
-    partition always has modularity 0.
-    """
-    from .partition import one_community_partition
-
-    return modularity(table, one_community_partition(table.n_nodes))

@@ -5,15 +5,18 @@ execution machinery (:func:`repro.pipeline.store.score_with_store`,
 backend spec strings, ``workers=``). For a batch of plans it
 
 1. resolves every *distinct* source exactly once, into one
-   :class:`SourceHandle`. A file is hashed once per batch, and the
-   store's source binding (``bind_source`` / ``source_binding``, keyed
-   by the file-content hash plus parse options) supplies the table
-   fingerprint and the table's
-   :class:`~repro.graph.edge_table.TableSummary`, so a warm source is
-   not parsed here at all: its handle parses at most once, later, and
+   :class:`SourceHandle`, whether its plans run in memory or streamed.
+   A file is hashed once per batch, and the store's source binding
+   (``bind_source`` / ``source_binding``, keyed by the file-content
+   hash plus parse options) supplies the table fingerprint and the
+   table's :class:`~repro.graph.edge_table.TableSummary`, so a warm
+   source is not read here at all: its handle parses it, or runs pass
+   1 of :mod:`repro.stream` over it, at most once each, later, and
    only when a score key misses the store or a worker payload needs
-   the table. A cold source is parsed, hashed and bound right away; a
-   binding recorded without a summary is upgraded by that one parse;
+   the table. A cold source is read right away, in the form its first
+   plan needs (pass 1 for a streamed plan, else a parse), hashed and
+   bound; a binding recorded without a summary is upgraded by that
+   one read;
 2. builds the configured method instance and derives the score-cache
    key (:func:`~repro.pipeline.fingerprint.fingerprint_score_request`)
    — the key deliberately excludes extraction-only knobs, which is
@@ -34,7 +37,6 @@ Each plan compiles on its own: a bad plan, or a source that fails
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backbones.base import BackboneMethod
@@ -43,46 +45,64 @@ from ..obs.trace import span
 from ..pipeline.fingerprint import (fingerprint_score_request,
                                     fingerprint_table)
 from ..pipeline.store import ScoreStore
-from ..stream import (StreamingUnsupported, auto_streams, open_stream,
-                      supports_streaming)
+from ..stream import (CanonicalStream, StreamingUnsupported, auto_streams,
+                      open_stream, supports_streaming)
 from ..util.validation import require
 from .plan import Plan
-from .spec import FilterSpec, TableSource
+from .sources import RemoteSource
+from .spec import FileSource, FilterSpec, TableSource
+
+#: Source specs with a local file behind them: the only ones that stream.
+_STREAMABLE_SOURCES = (FileSource, RemoteSource)
 
 
 class SourceHandle:
     """One distinct source of a compiled batch.
 
     Holds the source and table fingerprints and the table's summary,
-    and parses the source at most once: :meth:`table` parses on its
-    first call and keeps the table, or the error, which every later
-    call re-raises, so a failed parse fails only the plans over this
-    source. :attr:`parsed_table` is the table once the batch holds it
-    (a cold source, an in-memory table, or a parse on a score miss),
-    else ``None``.
+    and reads the source at most once in each form: :meth:`table`
+    parses it, :meth:`stream` runs pass 1 over it. Each keeps its
+    result, or its error, which every later call re-raises, so a
+    source that fails to read fails only the plans that needed it. A
+    warm source starts with neither and is read only when a score key
+    misses the store. :attr:`parsed_table` is the table once the batch
+    holds it (a cold source parsed at compile, an in-memory table, or
+    a parse on a score miss), else ``None``.
     """
 
     def __init__(self, source, source_fp: str, table_fp: str,
                  summary: TableSummary,
-                 table: Optional[EdgeTable] = None):
+                 table: Optional[EdgeTable] = None,
+                 stream: Optional[CanonicalStream] = None):
         self.source = source
         self.source_fp = source_fp
         self.table_fp = table_fp
         self.summary = summary
         self.parsed_table = table
-        self._error: Optional[Exception] = None
+        self._stream = stream
+        self._errors: Dict[str, Exception] = {}
 
     def table(self) -> EdgeTable:
         """The source's table, parsed on the first call."""
         if self.parsed_table is None:
-            if self._error is not None:
-                raise self._error
-            try:
-                self.parsed_table = self.source.resolve()
-            except Exception as error:
-                self._error = error
-                raise
+            self.parsed_table = self._read("table", self.source.resolve)
         return self.parsed_table
+
+    def stream(self) -> CanonicalStream:
+        """The source's pass-1 stream, built on the first call."""
+        if self._stream is None:
+            self._stream = self._read("stream",
+                                      lambda: _open_stream(self.source))
+        return self._stream
+
+    def _read(self, form: str, read):
+        if form in self._errors:
+            raise self._errors[form]
+        try:
+            return read()
+        except Exception as error:
+            self._errors[form] = error
+            raise
 
 
 @dataclass
@@ -98,16 +118,16 @@ class CompiledPlan:
     #: budget) when the plan set none.
     budget: Optional[FilterSpec] = None
     metrics: Tuple = ()
-    #: The out-of-core handle when the plan compiled to the streaming
-    #: path (its source handle never parses; the cache key is
+    #: Whether the plan compiled to the streaming path: a score miss
+    #: runs pass 2 over ``handle.stream()``. The cache key is
     #: unchanged — the stream's fingerprint equals the in-memory
-    #: table's).
-    stream: Optional[object] = field(default=None, repr=False)
+    #: table's — so a hit is filtered in memory like any other plan.
+    streamed: bool = False
     error: Optional[Exception] = field(default=None, repr=False)
 
 
-def compile_plans(plans: Sequence[Plan], store: Optional[ScoreStore],
-                  allow_streaming: bool = True) -> List[CompiledPlan]:
+def compile_plans(plans: Sequence[Plan],
+                  store: Optional[ScoreStore]) -> List[CompiledPlan]:
     """Compile a batch, resolving each distinct source exactly once.
 
     Returns one :class:`CompiledPlan` per input, in order; a plan that
@@ -122,12 +142,8 @@ def compile_plans(plans: Sequence[Plan], store: Optional[ScoreStore],
     [True, False]
 
     ``store`` may be ``None`` (no source bindings are read or written,
-    so every file source is parsed); callers that want batch
+    so every file source is read); callers that want batch
     deduplication pass at least a memory-only :class:`ScoreStore`.
-    ``allow_streaming=False`` forces the in-memory path regardless of
-    the plans' ``streaming`` setting (used by entry points that
-    materialize full score arrays or only derive keys:
-    :meth:`Plan.scores` and :meth:`Plan.describe`).
     """
     # Source -> handle, or the exception resolving it raised; table
     # sources memoize by table identity.
@@ -136,36 +152,31 @@ def compile_plans(plans: Sequence[Plan], store: Optional[ScoreStore],
     with span("flow.compile", plans=len(plans)):
         for plan in plans:
             try:
-                compiled.append(_compile_one(plan, store, memo,
-                                             allow_streaming))
+                compiled.append(_compile_one(plan, store, memo))
             except Exception as error:
                 compiled.append(CompiledPlan(plan=plan, error=error))
     return compiled
 
 
-def _compile_one(plan, store, memo, allow_streaming) -> CompiledPlan:
+def _compile_one(plan, store, memo) -> CompiledPlan:
     if not isinstance(plan, Plan):
         raise TypeError(f"expected a Plan, got {type(plan).__name__}")
     require(plan.method_spec is not None,
             "plan has no method; call .method(code) before running")
     method = plan.method_spec.build()
-    source, stream = plan.source, None
-    if _wants_stream(plan, method, allow_streaming):
-        handle, stream = _once(memo, ("stream", source),
-                               lambda: _resolve_stream(source, store))
-    else:
-        memo_key = (id(source.table) if isinstance(source, TableSource)
-                    else source)
-        handle = _once(memo, memo_key,
-                       lambda: _resolve_source(source, store))
+    source = plan.source
+    streamed = _wants_stream(plan, method)
+    memo_key = (id(source.table) if isinstance(source, TableSource)
+                else source)
+    handle = _once(memo, memo_key,
+                   lambda: _resolve_source(source, store, streamed))
     key = fingerprint_score_request(None, method,
                                     table_fingerprint=handle.table_fp)
     metrics = tuple(spec.build(handle.summary)
                     for spec in plan.metric_specs)
     return CompiledPlan(plan=plan, handle=handle, method=method, key=key,
                         budget=plan.budget_spec or FilterSpec(),
-                        metrics=metrics,
-                        stream=stream)
+                        metrics=metrics, streamed=streamed)
 
 
 def _once(memo: Dict[object, object], key, resolve):
@@ -185,7 +196,7 @@ def _once(memo: Dict[object, object], key, resolve):
     return found
 
 
-def _wants_stream(plan, method, allow_streaming) -> bool:
+def _wants_stream(plan: Plan, method) -> bool:
     """The compile decision: does this plan run out-of-core?
 
     ``streaming=True`` demands it (and raises
@@ -193,12 +204,13 @@ def _wants_stream(plan, method, allow_streaming) -> bool:
     ``"auto"`` streams supported methods when
     :func:`~repro.stream.auto_streams` says the source's file is large
     enough — the rule ``repro convert`` applies too — silently staying
-    in memory otherwise (also when the source has no local file).
+    in memory otherwise (also for sources other than files and remote
+    sources, which have no local file to stream).
     """
-    streaming = getattr(plan, "streaming", "auto")
-    if streaming is False or not allow_streaming:
+    streaming, source = plan.streaming, plan.source
+    if streaming is False:
         return False
-    if isinstance(plan.source, TableSource):
+    if isinstance(source, TableSource):
         require(streaming is not True,
                 "streaming=True needs a file or remote source; an "
                 "in-memory EdgeTable is already materialized")
@@ -206,64 +218,39 @@ def _wants_stream(plan, method, allow_streaming) -> bool:
     if streaming is True:
         if not supports_streaming(method):
             raise StreamingUnsupported(method)
+        require(isinstance(source, _STREAMABLE_SOURCES),
+                f"cannot stream from {type(source).__name__}: only "
+                "file and remote sources stream")
         return True
-    if not supports_streaming(method):
+    if not (supports_streaming(method)
+            and isinstance(source, _STREAMABLE_SOURCES)):
         return False
     try:
-        return auto_streams(_stream_path(plan.source))
+        return auto_streams(source.local_path())
     except (OSError, ValueError):
         return False
 
 
-def _stream_path(source) -> Path:
-    """The local file behind a source spec (fetching remote bytes)."""
-    local = getattr(source, "local_path", None)
-    if callable(local):
-        return Path(local())
-    path = getattr(source, "path", None)
-    require(path is not None,
-            f"cannot stream from {type(source).__name__}: it exposes "
-            "neither a local path nor local_path()")
-    return Path(path)
-
-
-def _resolve_stream(source, store: Optional[ScoreStore]):
-    """(source handle, CanonicalStream) for one source.
-
-    Pass 1 always runs — even on a warm store — because scoring needs
-    the node aggregates; what warm runs skip is pass-2 scoring (the
-    store answers by cache key, and the stream's fingerprint matches
-    the in-memory table's). Pass 1 records the same source binding as
-    the in-memory path, summary included, so a later in-memory request
-    over the file parses nothing on a score hit.
-    """
-    source_fp = source.fingerprint()
-    fmt = getattr(source, "format", None)
-    formatter = getattr(source, "_format", None)
-    if fmt is None and callable(formatter):
-        fmt = formatter()
+def _open_stream(source) -> CanonicalStream:
+    """Pass 1 over a file or remote source (fetching remote bytes)."""
     with span("flow.stream", source=source.describe()):
-        stream = open_stream(_stream_path(source),
-                             directed=getattr(source, "directed", True),
-                             delimiter=getattr(source, "delimiter", ","),
-                             format=fmt)
-    if store is not None:
-        binding = store.source_binding(source_fp)
-        if binding is None or binding[1] is None:
-            store.bind_source(source_fp, stream.table_fp, stream.summary)
-    return (SourceHandle(source, source_fp, stream.table_fp,
-                         stream.summary), stream)
+        return open_stream(source.local_path(), directed=source.directed,
+                           delimiter=source.delimiter,
+                           format=source.format)
 
 
-def _resolve_source(source, store: Optional[ScoreStore]) -> SourceHandle:
-    """The in-memory handle of one source.
+def _resolve_source(source, store: Optional[ScoreStore],
+                    streamed: bool) -> SourceHandle:
+    """The handle of one source, read now only when it is cold.
 
     For table sources the source fingerprint *is* the table
     fingerprint, and the table is already at hand. A file source whose
-    binding carries a summary is resolved from the file hash alone
-    (no parse, no :func:`fingerprint_table`); otherwise it is parsed
-    now and its binding recorded, or upgraded with the summary while
-    keeping the bound table fingerprint.
+    binding carries a summary is resolved from the file hash alone (no
+    read, no :func:`fingerprint_table`). Otherwise it is read now, by
+    pass 1 when ``streamed`` (the stream carries the table
+    fingerprint), else by a parse, and its binding is recorded, or
+    upgraded with the summary (a parse keeps the bound table
+    fingerprint).
     """
     if isinstance(source, TableSource):
         table = source.table
@@ -274,9 +261,15 @@ def _resolve_source(source, store: Optional[ScoreStore]) -> SourceHandle:
     binding = None if store is None else store.source_binding(source_fp)
     if binding is not None and binding[1] is not None:
         return SourceHandle(source, source_fp, *binding)
-    table = source.resolve()
-    table_fp = fingerprint_table(table) if binding is None else binding[0]
-    summary = table.summary()
+    if streamed:
+        stream = _open_stream(source)
+        handle = SourceHandle(source, source_fp, stream.table_fp,
+                              stream.summary, stream=stream)
+    else:
+        table = source.resolve()
+        table_fp = binding[0] if binding else fingerprint_table(table)
+        handle = SourceHandle(source, source_fp, table_fp,
+                              table.summary(), table)
     if store is not None:
-        store.bind_source(source_fp, table_fp, summary)
-    return SourceHandle(source, source_fp, table_fp, summary, table)
+        store.bind_source(source_fp, handle.table_fp, handle.summary)
+    return handle

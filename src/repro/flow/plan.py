@@ -157,21 +157,26 @@ class Plan:
 
     def scores(self, store=None) -> ScoredEdges:
         """Score the source with the plan's method (cached; no filter)."""
+        from ..pipeline.store import score_with_store
+
+        # In memory: the full ScoredEdges, which streaming never
+        # materializes. A warm source parses only on a score miss.
+        compiled = self._compiled_in_memory(store)
+        return score_with_store(compiled.method, compiled.handle.table,
+                                store, key=compiled.key)
+
+    def _compiled_in_memory(self, store):
+        """This plan compiled with ``streaming=False``, or its error."""
         from .compile import compile_plans
-        from ..pipeline.store import ScoreStore, score_with_store
+        from ..pipeline.store import ScoreStore
 
         # Explicit None check: an *empty* ScoreStore is falsy (len 0)
         # but must still be used, not silently replaced.
-        # allow_streaming=False: this entry point returns the full
-        # in-memory ScoredEdges, which streaming never materializes.
-        compiled = compile_plans(
-            [self], ScoreStore() if store is None else store,
-            allow_streaming=False)[0]
+        compiled = compile_plans([replace(self, streaming=False)],
+                                 ScoreStore() if store is None else store)[0]
         if compiled.error is not None:
             raise compiled.error
-        # A warm source parses only if the store misses the key.
-        return score_with_store(compiled.method, compiled.handle.table,
-                                store, key=compiled.key)
+        return compiled
 
     # ------------------------------------------------------------------
     # Variants
@@ -232,22 +237,14 @@ class Plan:
     def describe(self, store=None) -> Dict[str, object]:
         """The compiled plan as data: fingerprints, config, cache key.
 
-        Never scores. Compiles in memory (``allow_streaming=False``),
-        so it parses the source only when ``store`` holds no binding
-        (with a table summary) for it — a warm store answers from the
-        file hash alone. ``"filter"`` is the method's
-        :meth:`~repro.backbones.base.BackboneMethod.cut` of the plan's
-        budget, with the rank that cut uses (a default budget ranks by
-        the method). This is what ``--explain`` prints.
+        Never scores. Compiles in memory, so it parses the source only
+        when ``store`` holds no binding (with a table summary) for it —
+        a warm store answers from the file hash alone. ``"filter"`` is
+        the method's :meth:`~repro.backbones.base.BackboneMethod.cut` of
+        the plan's budget, with the rank that cut uses (a default budget
+        ranks by the method). This is what ``--explain`` prints.
         """
-        from .compile import compile_plans
-        from ..pipeline.store import ScoreStore
-
-        compiled = compile_plans(
-            [self], ScoreStore() if store is None else store,
-            allow_streaming=False)[0]
-        if compiled.error is not None:
-            raise compiled.error
+        compiled = self._compiled_in_memory(store)
         method = compiled.method
         cut = method.cut(**compiled.budget.filter_kwargs())
         payload: Dict[str, object] = {

@@ -12,8 +12,9 @@ plans — many users, many deltas, many budgets, same sources — and it
    requests out across worker processes (the ``workers=`` knob of
    :mod:`repro.util.parallel`; workers reopen the store's backend
    spec, and ship their results back for the parent to adopt). A
-   source whose binding is warm is parsed only here, once, and only
-   when one of its keys misses the store;
+   source whose binding is warm is read only here, once per form (a
+   parse, or pass 1 for streamed plans), and only when one of its
+   keys misses the store;
 3. applies each plan's filter and metrics serially — cheap compared
    to scoring. The filter is the method's own ``extract_from_scores``,
    called with the plan's ``FilterSpec.filter_kwargs()``; in memory
@@ -25,7 +26,7 @@ plans — many users, many deltas, many budgets, same sources — and it
 Per-plan failures are *isolated*: any scoring, filtering or metric
 exception — the deterministic Sinkhorn non-convergence (recorded as a
 negative cache entry), a budget that the method rejects, a source that
-fails to parse on a score miss, an unexpected bug in one method — is
+fails to read on a score miss, an unexpected bug in one method — is
 surfaced as that plan's :attr:`FlowResult.error`
 instead of poisoning the batch; :meth:`Plan.run` re-raises it to match
 the legacy single-call path bit for bit. A worker process dying
@@ -49,7 +50,7 @@ from ..obs.trace import span
 from ..pipeline.backends import NegativeEntry
 from ..pipeline.store import ScoreStore, score_with_store
 from ..util.parallel import parallel_map, resolve_workers
-from .compile import CompiledPlan, compile_plans
+from .compile import CompiledPlan, SourceHandle, compile_plans
 from .plan import Plan
 
 
@@ -68,9 +69,10 @@ class FlowResult:
     ``nonloop_m``, ``non_isolated_count()``), set on every result of a
     compiled plan, in memory, streamed or warm alike. ``table`` is the
     parsed source table (shared across the batch, not a copy) only
-    when the batch really parsed it — a cold source, an in-memory
-    table, or a score miss. A warm request parses nothing, so its
-    ``table`` is ``None``; streamed plans never materialize it.
+    when the batch parsed it: for an in-memory plan over a cold source
+    or an in-memory table, or on a score miss. Neither a warm request
+    nor pass 1 parses, so their ``table`` is ``None`` unless a
+    batchmate parsed the source.
     """
 
     plan: Plan
@@ -185,8 +187,7 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
         # in-memory plan share a key (same source, same scoring), the
         # one scoring pass must run on the materialized table so both
         # can consume it.
-        if found is None or (found.stream is not None
-                             and item.stream is None):
+        if found is None or (found.streamed and not item.streamed):
             unique[item.key] = item
 
     with span("flow.score", requests=len(compiled),
@@ -195,7 +196,7 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
         count = min(resolve_workers(workers), len(unique))
         if count > 1:
             pending = [item for key, item in unique.items()
-                       if item.stream is None and key not in store]
+                       if not item.streamed and key not in store]
             if len(pending) > 1:
                 spec = store.worker_spec()
                 payloads = []
@@ -225,7 +226,7 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
         for key, item in unique.items():
             if key in scored_by_key or key in error_by_key:
                 continue  # a worker scored it
-            if item.stream is not None:
+            if item.streamed:
                 # Streamed request: a warm cache answers with the full
                 # ScoredEdges (the stream's fingerprint matches the
                 # in-memory table's, so keys are shared); a miss is
@@ -276,28 +277,31 @@ def _score_remote(payload) -> Tuple[object, tuple]:
 
 def _serve_streams(compiled: Sequence[CompiledPlan], scored_by_key,
                    error_by_key):
-    """Run the out-of-core pass 2 once per stream for the plans the
-    score cache could not answer.
+    """Run the out-of-core pass 2 once per source for the streamed
+    plans the score cache could not answer.
 
-    Plans over one stream are extracted together (each distinct cache
-    key scored once per block); job ids are the compiled indexes, so
-    the results drop straight into the per-plan loop. Per-job errors
-    come back with in-memory precedence and isolation.
+    Only these plans read the source's stream (pass 1 runs here for a
+    source that compiled warm); if it fails, it fails them in their
+    slots. Plans over one source are extracted together (each distinct
+    cache key scored once per block); job ids are the compiled
+    indexes, so the results drop straight into the per-plan loop.
+    Per-job errors come back with in-memory precedence and isolation.
     """
     from ..stream import stream_extract
 
-    by_stream: Dict[int, Tuple[object, List[Tuple[int, CompiledPlan]]]]
-    by_stream = {}
+    by_handle: Dict[SourceHandle, List[Tuple[int, CompiledPlan]]] = {}
     for index, item in enumerate(compiled):
-        if (item.stream is None or item.key in scored_by_key
-                or item.key in error_by_key):
-            continue
-        entry = by_stream.setdefault(id(item.stream),
-                                     (item.stream, []))
-        entry[1].append((index, item))
+        if (item.streamed and item.key not in scored_by_key
+                and item.key not in error_by_key):
+            by_handle.setdefault(item.handle, []).append((index, item))
     backbones: Dict[int, EdgeTable] = {}
     errors: Dict[int, Exception] = {}
-    for stream, members in by_stream.values():
+    for handle, members in by_handle.items():
+        try:
+            stream = handle.stream()
+        except Exception as error:
+            errors.update((index, error) for index, _ in members)
+            continue
         jobs = [(index, item.key, item.method,
                  item.budget.filter_kwargs())
                 for index, item in members]

@@ -89,6 +89,10 @@ class FileSource:
         require(isinstance(self.path, str) and self.path,
                 "FileSource needs a non-empty path")
 
+    def local_path(self) -> Path:
+        """The file itself (the path a streamed plan runs pass 1 over)."""
+        return Path(self.path)
+
     def fingerprint(self) -> str:
         """Source-request digest from the raw file bytes (no parse)."""
         return fingerprint_source_request(

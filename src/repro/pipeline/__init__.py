@@ -46,8 +46,7 @@ from .fingerprint import (canonical_json, fingerprint_file,
                           method_config)
 from .store import CacheStats, ScoreStore, score_with_store
 from .tasks import (AverageDegreeMetric, CoverageMetric, DensityMetric,
-                    EdgeCountMetric, METRIC_BUILDERS, StabilityMetric,
-                    named_metric)
+                    EdgeCountMetric, METRIC_BUILDERS, StabilityMetric)
 
 __all__ = [
     "AverageDegreeMetric",
@@ -72,7 +71,6 @@ __all__ = [
     "fingerprint_source_request",
     "fingerprint_table",
     "method_config",
-    "named_metric",
     "open_backend",
     "score_with_store",
 ]

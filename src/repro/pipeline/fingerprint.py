@@ -12,7 +12,8 @@ Fingerprints are hex SHA-256 digests over a canonical byte encoding:
 * :func:`fingerprint_table` hashes the directedness flag, node count,
   labels and the raw ``src``/``dst``/``weight`` arrays (row order
   included — ``EdgeTable`` construction already canonicalizes order, and
-  derived tables such as ``subset`` outputs are distinct content);
+  derived tables such as ``subset`` outputs are distinct content), in
+  the layout :func:`fingerprint_columns` writes for every reader;
 * :func:`fingerprint_method` hashes the method's class identity and its
   public configuration (``vars``), skipping knobs that change wall-clock
   but never scores (``workers``);
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,21 +69,37 @@ def _coerce_scalar(value: object) -> object:
     raise TypeError(f"{type(value).__name__} is not fingerprintable")
 
 
-def fingerprint_table(table: EdgeTable) -> str:
-    """Hex digest of an edge table's full content."""
+def fingerprint_columns(directed: bool, n_nodes: int,
+                        labels: Optional[Sequence[str]],
+                        pieces: Iterable[object]) -> str:
+    """Hex digest of a table from its header fields and column bytes.
+
+    ``pieces`` hold the bytes of the canonical int64 ``src``, int64
+    ``dst`` and float64 ``weight`` columns, in that order and split
+    anywhere: :func:`fingerprint_table` passes its three arrays, pass 1
+    of :mod:`repro.stream` its column files piece by piece, and the
+    two readers of one table get one digest.
+    """
     digest = hashlib.sha256()
     digest.update(f"repro.table/v{_SCHEMA_VERSION}".encode())
-    digest.update(b"D" if table.directed else b"U")
-    digest.update(np.int64(table.n_nodes).tobytes())
-    if table.labels is not None:
-        digest.update(canonical_json(list(table.labels)).encode())
+    digest.update(b"D" if directed else b"U")
+    digest.update(np.int64(n_nodes).tobytes())
+    if labels is not None:
+        digest.update(canonical_json(list(labels)).encode())
     else:
         digest.update(b"<unlabeled>")
-    digest.update(np.ascontiguousarray(table.src, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(table.dst, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(table.weight,
-                                       dtype=np.float64).tobytes())
+    for piece in pieces:
+        digest.update(piece)
     return digest.hexdigest()
+
+
+def fingerprint_table(table: EdgeTable) -> str:
+    """Hex digest of an edge table's full content."""
+    return fingerprint_columns(
+        table.directed, table.n_nodes, table.labels,
+        (np.ascontiguousarray(table.src, dtype=np.int64),
+         np.ascontiguousarray(table.dst, dtype=np.int64),
+         np.ascontiguousarray(table.weight, dtype=np.float64)))
 
 
 def method_config(method: BackboneMethod) -> Dict[str, object]:

@@ -311,14 +311,13 @@ class ScoreStore:
         :func:`repro.pipeline.fingerprint.fingerprint_source_request`
         (a streamed hash of the raw file plus the parse options), so a
         changed file never meets a stale binding. Later requests over
-        the same file derive their score-cache keys with
-        :meth:`resolve_source` instead of re-hashing a parsed table,
-        and read the table's :class:`~repro.graph.edge_table.
-        TableSummary` (row counts, non-isolated nodes) from
-        :meth:`source_binding`, so a warm request parses nothing. A
-        binding recorded without a summary stays valid for key
-        derivation; :mod:`repro.flow.compile` upgrades it with one
-        parse.
+        the same file read the table fingerprint, which derives their
+        score-cache keys without re-hashing a parsed table, and the
+        table's :class:`~repro.graph.edge_table.TableSummary` (row
+        counts, non-isolated nodes) from :meth:`source_binding`, so a
+        warm request reads nothing. A binding recorded without a
+        summary stays valid for key derivation;
+        :mod:`repro.flow.compile` upgrades it with one read.
         """
         self._sources[source_key] = (table_fingerprint, summary)
         if not self._backend_usable():
@@ -332,12 +331,6 @@ class ScoreStore:
             self.backend.put(source_key, RawEntry(meta=meta, payload=None))
         except KVUnavailableError as error:
             self._mark_degraded(error)
-
-    def resolve_source(self, source_key: str) -> Optional[str]:
-        """Table fingerprint previously bound to ``source_key``, or
-        ``None`` when the binding is unknown (or unreadable)."""
-        binding = self.source_binding(source_key)
-        return None if binding is None else binding[0]
 
     def source_binding(self, source_key: str
                        ) -> Optional[Tuple[str, Optional[TableSummary]]]:
@@ -487,12 +480,6 @@ class ScoreStore:
     # ------------------------------------------------------------------
     # Persistent tier
     # ------------------------------------------------------------------
-
-    def _paths(self, key: str):
-        """Directory-backend file pair for ``key`` (compat accessor)."""
-        if not isinstance(self.backend, DirectoryBackend):
-            raise AttributeError("store has no directory backend")
-        return self.backend._paths(key)
 
     def _write_backend(self, key: str, entry) -> None:
         if not self._backend_usable():

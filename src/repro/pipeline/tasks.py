@@ -18,7 +18,6 @@ from ..evaluation.coverage import coverage
 from ..evaluation.stability import average_stability
 from ..graph.edge_table import EdgeTable
 from ..graph.metrics import average_degree, density
-from ..util.validation import require
 
 Metric = Callable[[EdgeTable], float]
 
@@ -74,11 +73,3 @@ METRIC_BUILDERS: Dict[str, Callable[[EdgeTable], Metric]] = {
     "average-degree": lambda table: AverageDegreeMetric(),
     "edges": lambda table: EdgeCountMetric(),
 }
-
-
-def named_metric(name: str, table: EdgeTable) -> Metric:
-    """Resolve a CLI metric name against the input ``table``."""
-    require(name in METRIC_BUILDERS,
-            f"unknown metric {name!r}; choose from "
-            f"{sorted(METRIC_BUILDERS)}")
-    return METRIC_BUILDERS[name](table)

@@ -49,7 +49,7 @@ the same order.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -192,10 +192,6 @@ class _RunReader:
 
     def last_key(self) -> Tuple[int, int]:
         return int(self.src[-1]), int(self.dst[-1])
-
-    def head_key(self) -> Tuple[int, int]:
-        return (int(self.src[self._start]),
-                int(self.dst[self._start]))
 
     def _cut_at(self, key: Tuple[int, int], side: str) -> int:
         """Buffer offset of the first row ``>`` (or ``>=``) ``key``."""

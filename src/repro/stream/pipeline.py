@@ -25,8 +25,9 @@ Stages (all bounded by ``block_rows`` / ``run_rows``):
    column files while node aggregates accumulate in ``np.bincount``
    order.
 4. **fingerprint** — one sequential pass over the canonical columns
-   reproduces :func:`fingerprint_table`'s digest byte for byte, so
-   streamed and in-memory plans share one warm score cache.
+   feeds :func:`~repro.pipeline.fingerprint.fingerprint_columns`, the
+   digest :func:`fingerprint_table` computes, so streamed and
+   in-memory plans share one warm score cache.
 
 Pass 2 (:mod:`repro.stream.score`) re-reads the canonical columns in
 blocks via :meth:`CanonicalStream.iter_scoring_blocks`.
@@ -34,7 +35,6 @@ blocks via :meth:`CanonicalStream.iter_scoring_blocks`.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import tempfile
@@ -47,7 +47,7 @@ import numpy as np
 from ..graph.edge_table import NodeTotals, TableSummary
 from ..graph.ingest import detect_format, stream_csv_chunks
 from ..obs.trace import span
-from ..pipeline.fingerprint import _SCHEMA_VERSION, canonical_json
+from ..pipeline.fingerprint import fingerprint_columns
 from ..util.validation import require
 from .blocks import ChunkSpool, NpzColumns
 from .merge import RunWriter, merge_runs, pairwise_file_sum
@@ -399,30 +399,17 @@ def _merge_and_finish(workdir: Path, writer: RunWriter, directed: bool,
         totals = NodeTotals(strength, strength, degree, degree,
                             2.0 * (total - 0.0) + 0.0)
 
-    table_fp = _fingerprint_columns(workdir, n_nodes, directed, labels)
+    table_fp = fingerprint_columns(directed, n_nodes, labels,
+                                   _column_pieces(workdir))
     return CanonicalStream(
         workdir, directed, n_nodes, labels, canonical.m,
         canonical.nonloop_m, table_fp, totals,
         int(np.count_nonzero(canonical.touched)), block_rows)
 
 
-def _fingerprint_columns(workdir: Path, n_nodes: int, directed: bool,
-                         labels) -> str:
-    """Reproduce :func:`fingerprint_table`'s digest from the column
-    files (same bytes: ``tofile`` writes exactly ``tobytes``)."""
-    digest = hashlib.sha256()
-    digest.update(f"repro.table/v{_SCHEMA_VERSION}".encode())
-    digest.update(b"D" if directed else b"U")
-    digest.update(np.int64(n_nodes).tobytes())
-    if labels is not None:
-        digest.update(canonical_json(list(labels)).encode())
-    else:
-        digest.update(b"<unlabeled>")
+def _column_pieces(workdir: Path) -> Iterator[bytes]:
+    """The canonical column files in bounded pieces (``tofile`` writes
+    exactly ``tobytes``, so they hash like the in-memory columns)."""
     for name in ("src.bin", "dst.bin", "weight.bin"):
         with open(workdir / name, "rb") as handle:
-            while True:
-                piece = handle.read(4 << 20)
-                if not piece:
-                    break
-                digest.update(piece)
-    return digest.hexdigest()
+            yield from iter(lambda: handle.read(4 << 20), b"")

@@ -4,9 +4,8 @@ from .ascii_plot import ascii_chart
 from .parallel import chunked, parallel_map, resolve_workers
 from .tables import format_series, format_table
 from .timing import Timer
-from .validation import (as_float_array, as_index_array, check_non_negative,
-                         check_positive, check_probability,
-                         check_same_length, require)
+from .validation import (as_float_array, as_index_array, check_positive,
+                         check_probability, check_same_length, require)
 
 __all__ = [
     "Timer",
@@ -16,7 +15,6 @@ __all__ = [
     "as_float_array",
     "ascii_chart",
     "as_index_array",
-    "check_non_negative",
     "check_positive",
     "check_probability",
     "check_same_length",

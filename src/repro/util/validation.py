@@ -63,14 +63,6 @@ def check_positive(value: float, name: str) -> float:
     return value
 
 
-def check_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is zero or positive."""
-    value = float(value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 def check_same_length(name_a: str, a: Sequence, name_b: str,
                       b: Sequence) -> None:
     """Validate that two sequences have equal length."""

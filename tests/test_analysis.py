@@ -17,9 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Baseline, Checker, Finding, IgnoreMap,
-                            all_checkers, analyze_paths,
-                            analyze_source, checker_table,
+from repro.analysis import (Baseline, Checker, Finding, all_checkers,
+                            analyze_paths, analyze_source, checker_table,
                             register_checker, registered_checkers)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -54,8 +54,10 @@ def edges_csv(tmp_path, table):
 
 
 class ParseSpy:
-    """Counts source parses and table hashes on every path a request
-    can reach them by; after :meth:`forbid` each one fails the test."""
+    """Counts source parses, pass-1 runs, table hashes and file hashes
+    on every path a request can reach them by. After :meth:`forbid` a
+    parse, a pass 1 or a table hash fails the test; file hashes are
+    only counted, since every request still hashes its file."""
 
     def __init__(self, monkeypatch):
         from repro.flow import compile as compile_mod
@@ -64,16 +66,23 @@ class ParseSpy:
         from repro.graph import ingest as ingest_mod
 
         self.parses = 0
+        self.passes = 0
         self.table_hashes = 0
+        self.file_hashes = 0
         self.forbidden = False
         self._depth = 0  # read_edges -> read_edge_npz is one parse
         for module in (spec_mod, sources_mod):
             monkeypatch.setattr(module, "read_edges",
                                 self._parse(module.read_edges))
+            monkeypatch.setattr(module, "fingerprint_file", self._count(
+                "file_hashes", module.fingerprint_file))
         monkeypatch.setattr(ingest_mod, "read_edge_npz",
                             self._parse(ingest_mod.read_edge_npz))
-        monkeypatch.setattr(compile_mod, "fingerprint_table",
-                            self._hash(compile_mod.fingerprint_table))
+        monkeypatch.setattr(compile_mod, "fingerprint_table", self._count(
+            "table_hashes", compile_mod.fingerprint_table,
+            "hashed its table"))
+        monkeypatch.setattr(compile_mod, "open_stream", self._count(
+            "passes", compile_mod.open_stream, "ran pass 1"))
 
     def forbid(self):
         self.forbidden = True
@@ -90,13 +99,15 @@ class ParseSpy:
                 self._depth -= 1
         return parse
 
-    def _hash(self, original):
-        def fingerprint(*args, **kwargs):
-            if self.forbidden:
-                raise AssertionError("a warm request hashed its table")
-            self.table_hashes += 1
+    def _count(self, counter, original, refusal=None):
+        """``original``, counting its calls in ``counter``; after
+        :meth:`forbid`, failing with ``refusal`` when one is given."""
+        def spy(*args, **kwargs):
+            if self.forbidden and refusal:
+                raise AssertionError(f"a warm request {refusal}")
+            setattr(self, counter, getattr(self, counter) + 1)
             return original(*args, **kwargs)
-        return fingerprint
+        return spy
 
 
 @pytest.fixture()
@@ -540,6 +551,102 @@ class TestFileSourceBindings:
             flow("s3://bucket/edges.csv")
 
 
+class TestSharedSourceHandle:
+    """Streamed and in-memory plans over one source share one handle:
+    one file hash per batch, and pass 1 only on a score miss."""
+
+    def test_cold_mixed_batch_hashes_the_file_once(self, edges_csv,
+                                                   table, parse_spy):
+        deltas = (1.0, 2.0)
+        plans = [flow(str(edges_csv), directed=False, streaming=streaming)
+                 .method("NC", delta=delta)
+                 for streaming in (True, False) for delta in deltas]
+        results = serve(plans)
+        assert parse_spy.file_hashes == 1
+        wants = [flow(table).method("NC", delta=delta).run()
+                 for delta in deltas] * 2
+        for result, want in zip(results, wants):
+            assert edge_bytes(result.backbone) == edge_bytes(want.backbone)
+
+    @pytest.mark.parametrize("via", ["serial", "workers", "daemon"])
+    def test_warm_streamed_plans_run_no_pass_1(self, edges_csv,
+                                               parse_spy, via):
+        from repro.serve import BackboneDaemon, ServeClient
+
+        store = ScoreStore()
+        plans = [flow(str(edges_csv), directed=False, streaming=False)
+                 .method(code).budget(share=0.3) for code in ("NC", "DF")]
+        want = serve(plans, store=store)
+        streamed = [flow(str(edges_csv), directed=False, streaming=True)
+                    .method(code).budget(share=0.3) for code in ("NC", "DF")]
+        parse_spy.forbid()
+        if via == "daemon":
+            with BackboneDaemon(port=0, store=store) as daemon:
+                reply = ServeClient(port=daemon.port).run(
+                    [plan.to_json() for plan in streamed],
+                    return_edges=True)
+            assert [result["edges"] for result in reply["results"]] \
+                == [[[backbone.label_of(u), backbone.label_of(v), w]
+                     for u, v, w in backbone.iter_edges()]
+                    for backbone in (result.backbone for result in want)]
+        else:
+            got = serve(streamed, store=store,
+                        workers=2 if via == "workers" else None)
+            for result, expected in zip(got, want):
+                assert result.table is None
+                assert edge_bytes(result.backbone) \
+                    == edge_bytes(expected.backbone)
+                assert result.kept_share == expected.kept_share
+        assert parse_spy.passes == 0
+
+    def test_missed_key_on_warm_binding_runs_pass_1_once(self, edges_csv,
+                                                         table, parse_spy):
+        store = ScoreStore()
+        flow(str(edges_csv), directed=False).method("NT") \
+            .budget(share=0.5).run(store=store)  # binds; DF stays cold
+        budgets = ({"share": 0.3}, {"n_edges": 7})
+        plans = [flow(str(edges_csv), directed=False, streaming=True)
+                 .method("DF").budget(**budget) for budget in budgets]
+        results = serve(plans, store=store)
+        assert parse_spy.passes == 1
+        for result, budget in zip(results, budgets):
+            want = flow(table).method("DF").budget(**budget).run()
+            assert result.table is None
+            assert edge_bytes(result.backbone) == edge_bytes(want.backbone)
+
+    def test_lazy_pass_1_failure_fails_only_its_plans(self, tmp_path,
+                                                      monkeypatch):
+        from repro.flow import compile as compile_mod
+
+        broken, healthy = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_edges(random_table(1), broken)
+        write_edges(random_table(2), healthy)
+        store = ScoreStore()
+        for path in (broken, healthy):  # bind both sources
+            flow(str(path)).method("NT").budget(share=0.5).run(store=store)
+        want = flow(str(healthy)).method("DF").budget(share=0.3).run()
+        attempts = []
+        original = compile_mod.open_stream
+
+        def open_stream(path, **options):
+            if str(path) == str(broken):
+                attempts.append(str(path))
+                raise OSError("pass 1 failed")
+            return original(path, **options)
+
+        monkeypatch.setattr(compile_mod, "open_stream", open_stream)
+        plans = [flow(str(broken), streaming=True).method(code)
+                 .budget(share=0.3) for code in ("NC", "DF")]
+        plans.append(flow(str(healthy), streaming=True).method("DF")
+                     .budget(share=0.3))
+        results = serve(plans, store=store)
+        assert [result.ok for result in results] == [False, False, True]
+        assert [str(result.error) for result in results[:2]] \
+            == ["pass 1 failed"] * 2
+        assert attempts == [str(broken)]  # one pass-1 attempt per batch
+        assert edge_bytes(results[2].backbone) == edge_bytes(want.backbone)
+
+
 def loopy_directed_table(seed: int = 3) -> EdgeTable:
     """Directed, with self-loops, fractional weights and an isolate."""
     rng = np.random.default_rng(seed)
@@ -698,6 +805,17 @@ class TestMethodHooks:
             get_method("NT").cut()
         with pytest.raises(ValueError, match="parameter-free"):
             get_method("MST").cut(share=0.1)
+
+    @pytest.mark.parametrize("code", [
+        code for code in method_codes()
+        if not get_method(code).parameter_free])
+    def test_nan_threshold_rejected(self, table, code):
+        method = get_method(code)
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            method.extract(table, threshold=float("nan"))
+        scored = method.score(table)
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            method.extract_from_scores(scored, threshold=float("nan"))
 
 
 # ----------------------------------------------------------------------

@@ -710,15 +710,15 @@ class TestFileFingerprints:
         table_fp = fingerprint_table(table)
 
         store = ScoreStore(location)
-        assert store.resolve_source(source_key) is None
+        assert store.source_binding(source_key) is None
         store.bind_source(source_key, table_fp)
-        assert store.resolve_source(source_key) == table_fp
+        assert store.source_binding(source_key)[0] == table_fp
 
         reopened = ScoreStore(location)
-        assert reopened.resolve_source(source_key) == table_fp
+        assert reopened.source_binding(source_key)[0] == table_fp
 
     def test_binding_in_memory_only_store(self):
         store = ScoreStore()
         store.bind_source("deadbeef", "feedface")
-        assert store.resolve_source("deadbeef") == "feedface"
-        assert ScoreStore().resolve_source("deadbeef") is None
+        assert store.source_binding("deadbeef")[0] == "feedface"
+        assert ScoreStore().source_binding("deadbeef") is None

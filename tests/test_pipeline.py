@@ -28,11 +28,11 @@ from repro.backbones.registry import paper_methods
 from repro.core.noise_corrected import (NoiseCorrectedBackbone,
                                         NoiseCorrectedPValue)
 from repro.flow import flow, serve, sweep_methods
+from repro.flow.spec import MetricSpec
 from repro.graph.edge_table import EdgeTable
 from repro.pipeline import (CoverageMetric, DensityMetric, ScoreStore,
                             SQLiteBackend, fingerprint_method,
-                            fingerprint_table, named_metric,
-                            score_with_store)
+                            fingerprint_table, score_with_store)
 
 
 def random_table(seed: int, n_nodes: int = 24, n_edges: int = 80,
@@ -211,7 +211,7 @@ class TestScoreStorePoisoning:
         scored = NoiseCorrectedBackbone().score(random_table(9))
         store.put("key", scored)
         store.clear_memory()
-        npz_path, json_path = store._paths("key")
+        npz_path, json_path = store.backend._paths("key")
         return store, scored, npz_path, json_path
 
     def test_truncated_npz_is_a_miss(self, tmp_path):
@@ -472,7 +472,7 @@ class TestPipelineFacade:
 
     def test_named_metric_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            named_metric("sparkle", random_table(21))
+            MetricSpec("sparkle").build(random_table(21))
 
     def test_score_with_store_without_store(self):
         table = random_table(22)

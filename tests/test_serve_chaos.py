@@ -8,7 +8,6 @@ results, per-plan structured errors with untouched batchmates.
 """
 
 import numpy as np
-import pytest
 
 from repro.backbones.doubly_stochastic import SinkhornConvergenceError
 from repro.backbones.registry import get_method

@@ -27,10 +27,12 @@ from hypothesis import strategies as st
 from repro.backbones.registry import get_method
 from repro.cli import main
 from repro.flow import StreamingUnsupported, flow, serve
+from repro.flow import spec as flow_spec
 from repro.graph.edge_table import EdgeTable, NodeTotals
 from repro.graph.ingest import read_edges, write_edges
 from repro.pipeline import ScoreStore
 from repro.pipeline.fingerprint import fingerprint_table
+from repro.serve import serve_isolated
 from repro.stream import (StreamingUnsupported as StreamPkgError,
                           open_stream, stream_convert, stream_extract,
                           supports_streaming)
@@ -44,6 +46,16 @@ WHOLE_GRAPH = ("MST", "DS", "HSS", "KC")
 #: Positive edge weights: exact integers, plus non-integers whose sums
 #: depend on summation order (the order node totals must keep).
 WEIGHTS = st.one_of(st.integers(1, 40), st.floats(0.01, 40.0))
+
+#: Plan budgets for the differentials. DF and NT have no default
+#: budget: with none (or only a rank) both paths must raise the same
+#: "exactly one" error.
+BUDGETS = [None, {"threshold": 0.5}, {"share": 0.3}, {"n_edges": 5},
+           {"share": 0.5, "rank": "score"},
+           {"threshold": 2.0, "rank": "score"},
+           {"n_edges": 5, "rank": "score"}, {"n_edges": 0},
+           {"n_edges": 10**6}, {"share": 0.0}, {"share": 1.0},
+           {"rank": "score"}]
 
 
 def write_csv(path, rows, labels=False):
@@ -66,6 +78,18 @@ def assert_same_backbone(got, want):
     assert got.n_nodes == want.n_nodes
     assert got.directed == want.directed
     assert got.labels == want.labels
+
+
+def outcome(result):
+    """What a served plan answered: backbone bytes, kept share, error."""
+    backbone = result.backbone
+    return (None if backbone is None else
+            (backbone.src.tobytes(), backbone.dst.tobytes(),
+             backbone.weight.tobytes(), backbone.n_nodes,
+             backbone.directed, backbone.labels),
+            result.kept_share,
+            None if result.error is None else
+            (type(result.error), str(result.error)))
 
 
 def run_one(path, directed, code, budget, streaming, block_rows=None,
@@ -123,15 +147,7 @@ class TestStreamBitIdentity:
         block_rows = data.draw(st.integers(1, 9), label="block_rows")
         run_rows = data.draw(st.integers(2, 24), label="run_rows")
         code = data.draw(st.sampled_from(STREAMABLE), label="method")
-        # DF and NT have no default budget: with none (or only a rank)
-        # both paths must raise the same "exactly one" error.
-        budget = data.draw(st.sampled_from([
-            None, {"threshold": 0.5}, {"share": 0.3},
-            {"n_edges": 5}, {"share": 0.5, "rank": "score"},
-            {"threshold": 2.0, "rank": "score"},
-            {"n_edges": 5, "rank": "score"}, {"n_edges": 0},
-            {"n_edges": 10**6}, {"share": 0.0}, {"share": 1.0},
-            {"rank": "score"}]), label="budget")
+        budget = data.draw(st.sampled_from(BUDGETS), label="budget")
 
         outcomes = []
         with tempfile.TemporaryDirectory() as tmp:
@@ -156,6 +172,46 @@ class TestStreamBitIdentity:
         assert streamed.kept_share == mem.kept_share
         assert streamed.table is None and streamed.base is not None
         assert streamed.base.n_nodes == mem.table.n_nodes
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_batch_matches_memory_twins(self, data):
+        """One batch of streamed and in-memory plans over one csv,
+        served cold and then warm on one store: every plan's outcome
+        equals its in-memory twin's, served alone, and each batch
+        hashes the file once."""
+        n_nodes = data.draw(st.integers(1, 8), label="n_nodes")
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, n_nodes - 1),
+                      st.integers(0, n_nodes - 1), WEIGHTS),
+            min_size=1, max_size=40), label="rows")
+        directed = data.draw(st.booleans(), label="directed")
+        labels = data.draw(st.booleans(), label="labels")
+        shapes = data.draw(st.lists(st.tuples(
+            st.sampled_from(STREAMABLE), st.sampled_from(BUDGETS),
+            st.booleans()), min_size=2, max_size=6), label="plans")
+        env = {"REPRO_STREAM_BLOCK_ROWS":
+               str(data.draw(st.integers(1, 9), label="block_rows"))}
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, env):
+            path = write_csv(Path(tmp) / "edges.csv", rows, labels=labels)
+            plans = []
+            for code, budget, streaming in shapes:
+                plan = flow(str(path), directed=directed,
+                            streaming=streaming).method(code)
+                plans.append(plan.budget(**budget) if budget is not None
+                             else plan)
+            twins = [outcome(serve_isolated(
+                [dataclasses.replace(plan, streaming=False)])[0])
+                for plan in plans]
+            store = ScoreStore()
+            for _phase in ("cold", "warm"):
+                with mock.patch.object(
+                        flow_spec, "fingerprint_file",
+                        wraps=flow_spec.fingerprint_file) as hashed:
+                    results = serve_isolated(plans, store=store)
+                assert hashed.call_count == 1
+                assert [outcome(result) for result in results] == twins
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -358,6 +414,43 @@ class TestStreamCacheSharing:
         assert results[0].error is None and results[1].error is None
         want = flow(str(path), streaming=False).method("NC").run()
         assert_same_backbone(results[0].backbone, want.backbone)
+
+    @pytest.mark.parametrize("key", ["edges.npz", "edges.csv", "edges"])
+    def test_streamed_kv_plan_matches_local(self, tmp_path, key):
+        """A kv:// source streams through its spooled copy: cold (pass
+        1 and pass 2) and warm (a score hit, no pass 1) alike, it
+        equals the in-memory plan over the local file."""
+        from repro.flow import compile as compile_mod
+        from repro.flow.sources import clear_fetch_cache
+        from repro.net import SocketKVServer, put_object
+
+        csv_path = write_csv(tmp_path / "edges.csv",
+                             [(i % 7, (i * 3 + 1) % 7, i % 5 + 1)
+                              for i in range(50)], labels=True)
+        local = csv_path
+        if key.endswith(".npz"):
+            local = tmp_path / "edges.npz"
+            write_edges(read_edges(csv_path, directed=False), local)
+        local_plan = flow(str(local), directed=False, streaming=False) \
+            .method("NC").budget(share=0.3).metrics("coverage")
+        want = local_plan.run()
+        clear_fetch_cache()
+        store = ScoreStore()
+        with SocketKVServer() as server, mock.patch.object(
+                compile_mod, "open_stream",
+                wraps=compile_mod.open_stream) as pass1:
+            url = put_object(f"kv://127.0.0.1:{server.port}", key, local)
+            plan = flow(url, directed=False, streaming=True) \
+                .method("NC").budget(share=0.3).metrics("coverage")
+            cold = plan.run(store=store)
+            local_plan.run(store=store)  # warms the shared score key
+            warm = plan.run(store=store)
+        assert pass1.call_count == 1
+        for got in (cold, warm):
+            assert_same_backbone(got.backbone, want.backbone)
+            assert got.kept_share == want.kept_share
+            assert got.metrics == want.metrics
+            assert got.table is None
 
     def test_run_many_streaming_grid(self, tmp_path):
         path = write_csv(tmp_path / "edges.csv",
