@@ -10,13 +10,14 @@ backend spec strings, ``workers=``). For a batch of plans it
    (``bind_source`` / ``source_binding``, keyed by the file-content
    hash plus parse options) supplies the table fingerprint and the
    table's :class:`~repro.graph.edge_table.TableSummary`, so a warm
-   source is not read here at all: its handle parses it, or runs pass
-   1 of :mod:`repro.stream` over it, at most once each, later, and
-   only when a score key misses the store or a worker payload needs
-   the table. A cold source is read right away, in the form its first
-   plan needs (pass 1 for a streamed plan, else a parse), hashed and
-   bound; a binding recorded without a summary is upgraded by that
-   one read;
+   source is not read here at all, only later, when a score key
+   misses the store or a worker payload needs the table. A cold
+   source is read right away, hashed and bound (a binding recorded
+   without a summary is upgraded by that read). In-memory plans bind
+   their sources first, so that read is a parse whenever any plan
+   over the source runs in memory, and pass 1 of :mod:`repro.stream`
+   only when all of them stream. Either way the batch reads each
+   source once (see :class:`SourceHandle`);
 2. builds the configured method instance and derives the score-cache
    key (:func:`~repro.pipeline.fingerprint.fingerprint_score_request`)
    — the key deliberately excludes extraction-only knobs, which is
@@ -36,7 +37,7 @@ Each plan compiles on its own: a bad plan, or a source that fails
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backbones.base import BackboneMethod
@@ -60,8 +61,12 @@ class SourceHandle:
     """One distinct source of a compiled batch.
 
     Holds the source and table fingerprints and the table's summary,
-    and reads the source at most once in each form: :meth:`table`
-    parses it, :meth:`stream` runs pass 1 over it. Each keeps its
+    and reads the source once: :meth:`table` parses it, :meth:`stream`
+    runs pass 1 over it, and pass 1 runs only when no plan needed the
+    parse. Compile binds in-memory plans first and
+    :func:`~repro.flow.serve.serve_compiled` scores them first, so a
+    streamed plan's miss is scored from :attr:`parsed_table` once the
+    handle holds it (bit-identical to pass 2). Each read keeps its
     result, or its error, which every later call re-raises, so a
     source that fails to read fails only the plans that needed it. A
     warm source starts with neither and is read only when a score key
@@ -148,35 +153,50 @@ def compile_plans(plans: Sequence[Plan],
     # Source -> handle, or the exception resolving it raised; table
     # sources memoize by table identity.
     memo: Dict[object, object] = {}
-    compiled = []
     with span("flow.compile", plans=len(plans)):
-        for plan in plans:
-            try:
-                compiled.append(_compile_one(plan, store, memo))
-            except Exception as error:
-                compiled.append(CompiledPlan(plan=plan, error=error))
+        compiled = [_lower(plan) for plan in plans]
+        # In-memory plans bind their sources first (plan order within
+        # each group), so a cold source that any plan needs in memory
+        # is parsed, and never also streamed.
+        for index in sorted(range(len(compiled)),
+                            key=lambda i: compiled[i].streamed):
+            item = compiled[index]
+            if item.error is None:
+                try:
+                    compiled[index] = _bind(item, store, memo)
+                except Exception as error:
+                    compiled[index] = CompiledPlan(plan=item.plan,
+                                                   error=error)
     return compiled
 
 
-def _compile_one(plan, store, memo) -> CompiledPlan:
-    if not isinstance(plan, Plan):
-        raise TypeError(f"expected a Plan, got {type(plan).__name__}")
-    require(plan.method_spec is not None,
-            "plan has no method; call .method(code) before running")
-    method = plan.method_spec.build()
-    source = plan.source
-    streamed = _wants_stream(plan, method)
+def _lower(plan) -> CompiledPlan:
+    """The plan's method, budget and stream decision, or its error."""
+    try:
+        if not isinstance(plan, Plan):
+            raise TypeError(f"expected a Plan, got {type(plan).__name__}")
+        require(plan.method_spec is not None,
+                "plan has no method; call .method(code) before running")
+        method = plan.method_spec.build()
+        return CompiledPlan(plan=plan, method=method,
+                            budget=plan.budget_spec or FilterSpec(),
+                            streamed=_wants_stream(plan, method))
+    except Exception as error:
+        return CompiledPlan(plan=plan, error=error)
+
+
+def _bind(item: CompiledPlan, store, memo) -> CompiledPlan:
+    """``item`` on its source handle, score-cache key and metrics."""
+    source = item.plan.source
     memo_key = (id(source.table) if isinstance(source, TableSource)
                 else source)
     handle = _once(memo, memo_key,
-                   lambda: _resolve_source(source, store, streamed))
-    key = fingerprint_score_request(None, method,
+                   lambda: _resolve_source(source, store, item.streamed))
+    key = fingerprint_score_request(None, item.method,
                                     table_fingerprint=handle.table_fp)
     metrics = tuple(spec.build(handle.summary)
-                    for spec in plan.metric_specs)
-    return CompiledPlan(plan=plan, handle=handle, method=method, key=key,
-                        budget=plan.budget_spec or FilterSpec(),
-                        metrics=metrics, streamed=streamed)
+                    for spec in item.plan.metric_specs)
+    return replace(item, handle=handle, key=key, metrics=metrics)
 
 
 def _once(memo: Dict[object, object], key, resolve):

@@ -12,9 +12,11 @@ plans — many users, many deltas, many budgets, same sources — and it
    requests out across worker processes (the ``workers=`` knob of
    :mod:`repro.util.parallel`; workers reopen the store's backend
    spec, and ship their results back for the parent to adopt). A
-   source whose binding is warm is read only here, once per form (a
-   parse, or pass 1 for streamed plans), and only when one of its
-   keys misses the store;
+   source whose binding is warm is read only here, and only when one
+   of its keys misses the store. In-memory requests score first, and
+   a streamed miss whose handle then holds the parsed table is scored
+   from it, so the batch reads the source once: by a parse, or by
+   pass 1 when only streamed keys miss;
 3. applies each plan's filter and metrics serially — cheap compared
    to scoring. The filter is the method's own ``extract_from_scores``,
    called with the plan's ``FilterSpec.filter_kwargs()``; in memory
@@ -180,15 +182,15 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
     own store counts the lookup, and the parent adopts the entry the
     worker ships back and serves it as is, without a second lookup.
     """
+    # In-memory plans first, in plan order. They represent a key they
+    # share with a streamed plan, so its one scoring pass runs on the
+    # materialized table both can consume. They also score first, so a
+    # streamed miss whose handle then holds the parsed table is scored
+    # from it (bit-identical to pass 2, and it warms the store): no
+    # source is read twice.
     unique: Dict[str, CompiledPlan] = {}
-    for item in compiled:
-        found = unique.get(item.key)
-        # Prefer an in-memory representative: when a streamed and an
-        # in-memory plan share a key (same source, same scoring), the
-        # one scoring pass must run on the materialized table so both
-        # can consume it.
-        if found is None or (found.streamed and not item.streamed):
-            unique[item.key] = item
+    for item in sorted(compiled, key=lambda item: item.streamed):
+        unique.setdefault(item.key, item)
 
     with span("flow.score", requests=len(compiled),
               unique=len(unique)):
@@ -226,7 +228,7 @@ def _score_batch(compiled: Sequence[CompiledPlan], store: ScoreStore,
         for key, item in unique.items():
             if key in scored_by_key or key in error_by_key:
                 continue  # a worker scored it
-            if item.streamed:
+            if item.streamed and item.handle.parsed_table is None:
                 # Streamed request: a warm cache answers with the full
                 # ScoredEdges (the stream's fingerprint matches the
                 # in-memory table's, so keys are shared); a miss is

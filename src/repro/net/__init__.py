@@ -5,9 +5,10 @@ The pieces, bottom-up:
 - :mod:`repro.net.protocol` — length-prefixed binary frames with
   end-to-end payload digests.
 - :class:`SocketKVServer` — a threaded stdlib-socket KV server run
-  in-process or as its own process (``python -m repro.net.server``),
-  serving the same op set and record shape as the in-memory
-  transport.
+  in-process or as its own process (``python -m repro.net.server``).
+  It hands every data op to one
+  :class:`~repro.pipeline.backends.InMemoryKVServer`, the op table
+  the in-memory transport runs.
 - :class:`SocketKVTransport` — the client side, plugging into the
   existing ``KVBackend`` retry/timeout/degradation machinery, so
   ``ScoreStore("kv://host:port")`` gives two independent processes

@@ -18,6 +18,11 @@ corrupt cache entry at rest.
 Size ceilings (:data:`MAX_HEADER_BYTES`, :data:`MAX_PAYLOAD_BYTES`)
 bound what a single frame may ask either side to allocate — a
 malformed or hostile peer cannot request a 2**64-byte read.
+
+A KV record travels with its payload as the frame body, flagged by
+``has_payload`` (``None``, a negative entry, is not ``b""``):
+:func:`pack_record` and :func:`unpack_record`. A reply carries its
+op's result, or ``found`` plus the record for :data:`RECORD_OPS`.
 """
 
 from __future__ import annotations
@@ -120,3 +125,37 @@ def decode_frame(read) -> Tuple[Dict[str, Any], bytes]:
                 f"payload digest mismatch (header {expected!r}, "
                 f"body {actual})")
     return header, payload
+
+
+#: Ops whose result is one record, or ``None`` when the key is absent.
+RECORD_OPS = ("get", "peek")
+
+
+def pack_record(record: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
+    """``(header part, frame body)`` of a record; see the module doc."""
+    head = dict(record, has_payload=record.get("payload") is not None)
+    return head, head.pop("payload", None) or b""
+
+
+def unpack_record(head: Dict[str, Any], body: bytes) -> Dict[str, Any]:
+    """The record :func:`pack_record` sent as ``head`` and ``body``."""
+    record = dict(head)
+    record["payload"] = body if record.pop("has_payload", False) else None
+    return record
+
+
+def pack_result(op: str, result) -> Tuple[Dict[str, Any], bytes]:
+    """The reply header and frame body carrying ``op``'s ``result``."""
+    if op not in RECORD_OPS:
+        return {"ok": True, "result": result}, b""
+    if result is None:
+        return {"ok": True, "found": False}, b""
+    head, body = pack_record(result)
+    return {"ok": True, "found": True, "record": head}, body
+
+
+def unpack_result(op: str, reply: Dict[str, Any], body: bytes):
+    """The result :func:`pack_result` sent for ``op``."""
+    if op in RECORD_OPS and reply.get("found"):
+        return unpack_record(reply["record"], body)
+    return reply.get("result")

@@ -1,13 +1,13 @@
 """``SocketKVServer`` — the score cache as a real separate process.
 
 A small threaded TCP server speaking the :mod:`repro.net.protocol`
-frame format and serving the same op set as the in-process
-:class:`~repro.pipeline.backends.kv.InMemoryKVServer` (``get`` /
-``peek`` / ``put`` / ``delete`` / ``contains`` / ``keys`` / ``index``
-/ ``stats`` / ``ping``), with the same record shape — metadata +
-payload + a server-side last-access stamp bumped on reads — so
-:func:`~repro.pipeline.backends.base.run_gc` LRU policies work
-unchanged against a networked store.
+frame format. It hands every data op, under one lock, to its
+:attr:`~SocketKVServer.table`: an
+:class:`~repro.pipeline.backends.kv.InMemoryKVServer`, the op table
+the in-process transport runs. Records, last-access stamps (so
+:func:`~repro.pipeline.backends.base.run_gc` LRU policies) and input
+checks are therefore the same on both; the server adds ``ping`` and
+``stats``.
 
 Run it in-process (tests, doctests)::
 
@@ -36,7 +36,9 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
-from .protocol import FrameError, decode_frame, encode_frame
+from ..pipeline.backends.kv import InMemoryKVServer
+from .protocol import (FrameError, decode_frame, encode_frame,
+                       pack_result, unpack_record)
 
 _SERVER_REQUESTS = get_registry().counter(
     "repro_net_server_requests_total",
@@ -94,16 +96,14 @@ class SocketKVServer:
                  testing: bool = False, clock=time.time):
         self.host = host
         self.testing = bool(testing)
-        self._clock = clock
         self._lock = threading.Lock()
-        self.data: Dict[str, Dict[str, Any]] = {}
+        self.table = InMemoryKVServer(clock=clock)
         self.requests: Dict[str, int] = {}
         self._started = time.monotonic()
         self._server = _TCPServer((host, port), _Handler,
                                   bind_and_activate=False)
         self._server.owner = self
         self._thread: Optional[threading.Thread] = None
-        self._requested_port = port
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -145,17 +145,17 @@ class SocketKVServer:
               payload: bytes) -> Tuple[Dict[str, Any], bytes]:
         """Serve one decoded request; returns ``(header, payload)``.
 
-        Never raises: protocol-level problems come back as
-        ``{"ok": False, ...}`` responses so one bad request cannot
-        take the connection (or the server) down.
+        Never raises, so one bad request cannot take the connection
+        (or the server) down: a ``ValueError`` (malformed input) is
+        answered as ``bad-request``, which clients never retry.
         """
         op = header.get("op")
         _SERVER_REQUESTS.inc(op=str(op))
         with self._lock:
             self.requests[str(op)] = self.requests.get(str(op), 0) + 1
             try:
-                return self._dispatch(op, header, payload)
-            except _BadRequest as error:
+                return pack_result(op, self._dispatch(op, header, payload))
+            except ValueError as error:
                 return {"ok": False, "kind": "bad-request",
                         "error": str(error)}, b""
             except Exception as error:  # pragma: no cover - safety net
@@ -163,86 +163,42 @@ class SocketKVServer:
                         "error": f"{type(error).__name__}: {error}"}, b""
 
     def _dispatch(self, op, header, payload):
-        key = header.get("key")
+        key, value = header.get("key"), header.get("value")
+        if isinstance(value, dict):
+            value = unpack_record(value, payload)
         if op == "ping":
-            return {"ok": True, "result": "pong"}, b""
-        if op == "get" or op == "peek":
-            record = self.data.get(key)
-            if record is None:
-                return {"ok": True, "found": False}, b""
-            if op == "get":
-                record["last_access"] = self._clock()
-            body = record["payload"] or b""
-            return {"ok": True, "found": True,
-                    "record": {"meta": record["meta"],
-                               "size": record["size"],
-                               "last_access": record["last_access"],
-                               "has_payload":
-                                   record["payload"] is not None}}, body
-        if op == "put":
-            value = header.get("value")
-            if not isinstance(value, dict) \
-                    or not isinstance(value.get("meta"), dict):
-                raise _BadRequest("put requires a value with a meta dict")
-            has_payload = bool(value.get("has_payload"))
-            self.data[key] = {
-                "meta": value["meta"],
-                "payload": payload if has_payload else None,
-                "size": int(value.get("size", len(payload))),
-                "last_access": self._clock(),
-            }
-            return {"ok": True, "result": True}, b""
-        if op == "delete":
-            return {"ok": True,
-                    "result": self.data.pop(key, None) is not None}, b""
-        if op == "contains":
-            return {"ok": True, "result": key in self.data}, b""
-        if op == "keys":
-            return {"ok": True, "result": sorted(self.data)}, b""
-        if op == "index":
-            return {"ok": True, "result": [
-                [stored_key, record["size"], record["last_access"],
-                 record["payload"] is None]
-                for stored_key, record in self.data.items()]}, b""
+            return "pong"
         if op == "stats":
-            return {"ok": True, "result": {
-                "entries": len(self.data),
-                "bytes": sum(r["size"] for r in self.data.values()),
-                "requests": dict(self.requests),
-                "uptime_s": time.monotonic() - self._started,
-                "testing": self.testing,
-                "pid": os.getpid(),
-            }}, b""
+            records = self.table.data.values()
+            return {"entries": len(records), "testing": self.testing,
+                    "bytes": sum(record["size"] for record in records),
+                    "requests": dict(self.requests), "pid": os.getpid(),
+                    "uptime_s": time.monotonic() - self._started}
         if op in TESTING_OPS:
-            return self._dispatch_testing(op, header, payload)
-        raise _BadRequest(f"unknown op {op!r}")
+            return self._dispatch_testing(op, key, value, payload)
+        return self.table.request(op, key=key, value=value)
 
-    def _dispatch_testing(self, op, header, payload):
+    def _dispatch_testing(self, op, key, value, payload):
         if not self.testing:
-            raise _BadRequest(
+            raise ValueError(
                 f"testing op {op!r} disabled (start the server with "
                 "--testing to enable it)")
         if op == "flush":
-            self.data.clear()
-            return {"ok": True, "result": True}, b""
+            self.table.data.clear()
+            return True
         if op == "set_clock":
-            value = header.get("value")
-            if isinstance(value, dict):
-                value = value.get("value")
-            value = float(value)
-            self._clock = lambda: value
-            return {"ok": True, "result": value}, b""
-        if op == "debug_set_payload":
-            record = self.data.get(header.get("key"))
-            if record is None:
-                raise _BadRequest("no such key")
-            record["payload"] = payload
-            return {"ok": True, "result": True}, b""
-        raise _BadRequest(f"unknown testing op {op!r}")
-
-
-class _BadRequest(Exception):
-    """Client error: reported back, never retried."""
+            now = value.get("value") if isinstance(value, dict) else value
+            if not isinstance(now, (int, float)):
+                raise ValueError(f"set_clock needs a number, not {now!r}")
+            now = float(now)
+            self.table.clock = lambda: now
+            return now
+        # debug_set_payload; peek checks the key and moves no stamp.
+        record = self.table.request("peek", key=key)
+        if record is None:
+            raise ValueError("no such key")
+        record["payload"] = payload
+        return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:

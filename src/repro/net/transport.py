@@ -32,7 +32,8 @@ from typing import Any, Dict, Optional
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 from ..pipeline.backends.kv import KVTimeoutError, KVTransientError
-from .protocol import FrameError, decode_frame, encode_frame
+from .protocol import (FrameError, decode_frame, encode_frame,
+                       pack_record, unpack_result)
 
 _NET_REQUESTS = get_registry().counter(
     "repro_net_requests_total",
@@ -119,12 +120,7 @@ class SocketKVTransport:
             header["key"] = key
         payload = b""
         if value is not None:
-            slim = {k: v for k, v in value.items() if k != "payload"}
-            if "payload" in value:
-                raw = value["payload"]
-                slim["has_payload"] = raw is not None
-                payload = raw or b""
-            header["value"] = slim
+            header["value"], payload = pack_record(value)
         _NET_REQUESTS.inc(op=op)
         with span("net.request", op=op, host=self.host,
                   port=self.port), self._lock:
@@ -143,7 +139,14 @@ class SocketKVTransport:
                 raise KVTransientError(
                     f"{op} to {self.host}:{self.port} failed: "
                     f"{error}") from error
-        return self._interpret(op, reply, body)
+        if not reply.get("ok"):
+            message = str(reply.get("error", "unspecified server error"))
+            if reply.get("kind") == "bad-request":
+                _NET_ERRORS.inc(kind="rejected")
+                raise ValueError(message)
+            _NET_ERRORS.inc(kind="transient")
+            raise KVTransientError(message)
+        return unpack_result(op, reply, body)
 
     def _exchange(self, frame: bytes, budget: float):
         sock = self._connect(budget)
@@ -156,20 +159,3 @@ class SocketKVTransport:
             return chunk
 
         return decode_frame(read)
-
-    def _interpret(self, op: str, reply: Dict[str, Any], body: bytes):
-        if not reply.get("ok"):
-            message = str(reply.get("error", "unspecified server error"))
-            if reply.get("kind") == "bad-request":
-                _NET_ERRORS.inc(kind="rejected")
-                raise ValueError(message)
-            _NET_ERRORS.inc(kind="transient")
-            raise KVTransientError(message)
-        if op in ("get", "peek"):
-            if not reply.get("found"):
-                return None
-            record = dict(reply["record"])
-            record["payload"] = body if record.pop("has_payload") \
-                else None
-            return record
-        return reply.get("result")

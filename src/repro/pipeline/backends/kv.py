@@ -6,15 +6,13 @@ every call in the client-side semantics a real network cache needs:
 a per-request timeout, bounded retries with exponential backoff on
 transient faults, and a terminal :class:`KVUnavailableError` once the
 budget is exhausted. The shipped :class:`InMemoryKVServer` transport
-is a dict with injectable faults and latency, which makes the retry
-behavior testable offline and marks the exact seam where an object
-store or network cache service plugs in later: implement ``request``
-against the remote API and nothing above the transport changes.
+is the op table with injectable faults and latency in front, which
+makes the retry behavior testable offline; implement ``request``
+against another remote API and nothing above the transport changes.
 
 Entries live server-side as metadata + payload + a last-access stamp
-(bumped by the server on reads, Redis ``OBJECT IDLETIME`` style), so
-LRU GC works against the same :func:`~repro.pipeline.backends.base.run_gc`
-policy as the local backends.
+(Redis ``OBJECT IDLETIME`` style), so LRU GC works against the same
+:func:`~repro.pipeline.backends.base.run_gc` policy as local backends.
 """
 
 from __future__ import annotations
@@ -49,7 +47,27 @@ class KVUnavailableError(KVError):
 
 
 class InMemoryKVServer:
-    """Dict-backed stand-in for a remote KV service.
+    """The one KV op table, over the dict :attr:`data`.
+
+    :meth:`request` runs ``get`` (which moves a record's last-access
+    stamp), ``peek`` (which does not), ``put``, ``delete``,
+    ``contains``, ``keys`` and ``index``, in process or behind
+    :class:`~repro.net.server.SocketKVServer`. Malformed input (an
+    unknown op, a key that is not a ``str``, a ``put`` value without a
+    ``meta`` dict and a non-negative ``int`` size) raises
+    ``ValueError``, which clients never retry:
+
+    >>> table = InMemoryKVServer(clock=iter([1.0, 2.0]).__next__)
+    >>> table.request("put", key="k", value={"meta": {}, "size": 0})
+    True
+    >>> table.request("peek", key="k")["last_access"]
+    1.0
+    >>> table.request("get", key="k")["last_access"]
+    2.0
+    >>> table.request("put", value={"meta": {}, "size": 0})
+    Traceback (most recent call last):
+    ...
+    ValueError: put needs a str key, not None
 
     Parameters
     ----------
@@ -63,9 +81,8 @@ class InMemoryKVServer:
 
     def __init__(self, latency: float = 0.0, clock=time.time):
         self.latency = float(latency)
-        self._clock = clock
+        self.clock = clock
         self.data: Dict[str, Dict[str, object]] = {}
-        self.calls: List[str] = []
         self._fault_queue: List[Exception] = []
 
     def inject_faults(self, *errors: Exception) -> None:
@@ -75,36 +92,37 @@ class InMemoryKVServer:
     def request(self, op: str, key: Optional[str] = None,
                 value: Optional[Dict[str, object]] = None,
                 timeout: Optional[float] = None):
-        self.calls.append(op)
         if self._fault_queue:
             raise self._fault_queue.pop(0)
         if timeout is not None and self.latency > timeout:
             raise KVTimeoutError(
                 f"request took {self.latency:.3f}s > timeout {timeout:.3f}s")
-        if op == "get":
-            record = self.data.get(key)
-            if record is not None:
-                record["last_access"] = self._clock()
-            return record
-        if op == "peek":
-            # Administrative read: no last-access bump.
-            return self.data.get(key)
-        if op == "put":
-            record = dict(value)
-            record["last_access"] = self._clock()
-            self.data[key] = record
-            return True
-        if op == "delete":
-            return self.data.pop(key, None) is not None
-        if op == "contains":
-            return key in self.data
         if op == "keys":
             return sorted(self.data)
         if op == "index":
             return [(stored_key, record["size"], record["last_access"],
                      record.get("payload") is None)
                     for stored_key, record in self.data.items()]
-        raise ValueError(f"unknown op {op!r}")
+        if op not in ("get", "peek", "put", "delete", "contains"):
+            raise ValueError(f"unknown op {op!r}")
+        if not isinstance(key, str):
+            raise ValueError(f"{op} needs a str key, not {key!r}")
+        if op == "put":
+            if not (isinstance(value, dict)
+                    and isinstance(value.get("meta"), dict)
+                    and isinstance(value.get("size"), int)
+                    and value["size"] >= 0):
+                raise ValueError("put needs a meta dict and an int size >= 0")
+            self.data[key] = dict(value, last_access=self.clock())
+            return True
+        if op == "delete":
+            return self.data.pop(key, None) is not None
+        if op == "contains":
+            return key in self.data
+        record = self.data.get(key)
+        if op == "get" and record is not None:
+            record["last_access"] = self.clock()
+        return record
 
 
 class KVBackend(StoreBackend):

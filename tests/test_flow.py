@@ -9,6 +9,7 @@ artifacts, fingerprints, the ``cut``/``describe`` hooks, the
 share-rounding unification and the flow-facing CLI subcommands.
 """
 
+import dataclasses
 import importlib
 import json
 import pickle
@@ -553,19 +554,31 @@ class TestFileSourceBindings:
 
 class TestSharedSourceHandle:
     """Streamed and in-memory plans over one source share one handle:
-    one file hash per batch, and pass 1 only on a score miss."""
+    one file hash and at most one read per batch, and pass 1 only on a
+    score miss that no batchmate's parse can answer."""
 
-    def test_cold_mixed_batch_hashes_the_file_once(self, edges_csv,
-                                                   table, parse_spy):
-        deltas = (1.0, 2.0)
-        plans = [flow(str(edges_csv), directed=False, streaming=streaming)
-                 .method("NC", delta=delta)
-                 for streaming in (True, False) for delta in deltas]
-        results = serve(plans)
+    @pytest.mark.parametrize("streamed_first, streamed_code", [
+        (True, "NC"), (False, "NC"), (True, "DF"), (False, "DF"),
+    ], ids=["stream-first-NC", "memory-first-NC", "stream-first-DF",
+            "memory-first-DF"])
+    def test_cold_mixed_batch_hashes_the_file_once(
+            self, edges_csv, parse_spy, streamed_first, streamed_code):
+        """A cold source that an in-memory plan needs is parsed once and
+        never streamed, in either plan order, also when the streamed
+        plan's key is its own: its miss is scored from the parse."""
+        def plans(streaming):
+            over = flow(str(edges_csv), directed=False, streaming=streaming)
+            if streaming and streamed_code == "DF":
+                return [over.method("DF").budget(share=0.3)]
+            return [over.method("NC", delta=delta) for delta in (1.0, 2.0)]
+
+        streamed, memory = plans(True), plans(False)
+        batch = streamed + memory if streamed_first else memory + streamed
+        results = serve(batch)
         assert parse_spy.file_hashes == 1
-        wants = [flow(table).method("NC", delta=delta).run()
-                 for delta in deltas] * 2
-        for result, want in zip(results, wants):
+        assert parse_spy.parses == 1 and parse_spy.passes == 0
+        for plan, result in zip(batch, results):
+            want = dataclasses.replace(plan, streaming=False).run()
             assert edge_bytes(result.backbone) == edge_bytes(want.backbone)
 
     @pytest.mark.parametrize("via", ["serial", "workers", "daemon"])

@@ -117,11 +117,28 @@ class TestSocketTransport:
             assert stats["bytes"] > 0
             assert stats["requests"]["put"] == 1
 
-    def test_unknown_op_is_rejected_not_retried(self):
-        with SocketKVServer() as server:
-            transport = SocketKVTransport("127.0.0.1", server.port)
-            with pytest.raises(ValueError, match="unknown op"):
-                transport.request("explode")
+    @pytest.mark.parametrize("op, key, value, message", [
+        ("explode", None, None, "unknown op"),
+        ("put", None, {"meta": {}, "payload": b"x", "size": 1},
+         "put needs a str key"),
+        ("put", "k", {"meta": {}, "payload": None, "size": "abc"},
+         "int size"),
+        ("put", "k", {"payload": None, "size": 1}, "meta dict"),
+        ("get", [1, 2], None, "get needs a str key"),
+        ("contains", {"a": 1}, None, "contains needs a str key"),
+        ("set_clock", None, {"value": "abc"}, "set_clock needs a number"),
+    ], ids=["unknown-op", "keyless-put", "non-int-size", "metaless-put",
+            "unhashable-key", "dict-key", "str-clock"])
+    def test_malformed_request_is_rejected_not_retried(self, op, key,
+                                                       value, message):
+        with SocketKVServer(testing=True) as server:
+            backend = KVBackend(SocketKVTransport("127.0.0.1",
+                                                  server.port))
+            backend.put("kept", entry(6))
+            with pytest.raises(ValueError, match=message):
+                backend._call(op, key=key, value=value)
+            assert backend.retries == 0
+            assert backend.keys() == ["kept"]
 
     def test_testing_ops_disabled_in_production_mode(self):
         with SocketKVServer(testing=False) as server:
@@ -298,7 +315,7 @@ class TestWorkerSpec:
             store = ScoreStore(spec)
             results = flow_serve(plans, store=store, workers=2)
             assert all(result.error is None for result in results)
-            assert len(server.data) >= 1  # score entries over the wire
+            assert len(server.table.data) >= 1  # score entries over the wire
             fresh = ScoreStore(spec)
             warm = flow_serve(plans, store=fresh)
             assert fresh.stats.misses == 0

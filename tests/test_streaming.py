@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.backbones.registry import get_method
 from repro.cli import main
 from repro.flow import StreamingUnsupported, flow, serve
+from repro.flow import compile as flow_compile
 from repro.flow import spec as flow_spec
 from repro.graph.edge_table import EdgeTable, NodeTotals
 from repro.graph.ingest import read_edges, write_edges
@@ -178,8 +179,9 @@ class TestStreamBitIdentity:
     def test_mixed_batch_matches_memory_twins(self, data):
         """One batch of streamed and in-memory plans over one csv,
         served cold and then warm on one store: every plan's outcome
-        equals its in-memory twin's, served alone, and each batch
-        hashes the file once."""
+        equals its in-memory twin's, served alone, each batch hashes
+        the file once, and reads it (a parse or a pass 1) at most
+        once, a cold batch exactly once."""
         n_nodes = data.draw(st.integers(1, 8), label="n_nodes")
         rows = data.draw(st.lists(
             st.tuples(st.integers(0, n_nodes - 1),
@@ -205,12 +207,20 @@ class TestStreamBitIdentity:
                 [dataclasses.replace(plan, streaming=False)])[0])
                 for plan in plans]
             store = ScoreStore()
-            for _phase in ("cold", "warm"):
+            for phase in ("cold", "warm"):
                 with mock.patch.object(
                         flow_spec, "fingerprint_file",
-                        wraps=flow_spec.fingerprint_file) as hashed:
+                        wraps=flow_spec.fingerprint_file) as hashed, \
+                        mock.patch.object(
+                            flow_spec, "read_edges",
+                            wraps=flow_spec.read_edges) as parsed, \
+                        mock.patch.object(
+                            flow_compile, "open_stream",
+                            wraps=flow_compile.open_stream) as passed:
                     results = serve_isolated(plans, store=store)
                 assert hashed.call_count == 1
+                reads = parsed.call_count + passed.call_count
+                assert reads == 1 if phase == "cold" else reads <= 1
                 assert [outcome(result) for result in results] == twins
 
     @given(data=st.data())
